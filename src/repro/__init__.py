@@ -68,7 +68,13 @@ from repro.analysis.experiments import (
     run_comparison_batch,
 )
 from repro.baselines import ZttConfig, ZttPolicy
-from repro.core import FleetLotusAgent, LotusAgent, LotusConfig, LotusController
+from repro.core import (
+    FleetLotusAgent,
+    LotusAgent,
+    LotusConfig,
+    LotusController,
+    StackedAgents,
+)
 from repro.detection import available_detectors, build_detector
 from repro.env import (
     BatchedInferenceEnvironment,
@@ -231,6 +237,7 @@ __all__ = [
     "LotusError",
     "PerSessionPolicies",
     "Policy",
+    "StackedAgents",
     "Trace",
     "ZttConfig",
     "ZttPolicy",

@@ -32,15 +32,16 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.core.action import JointActionSpace
 from repro.core.cooldown import CooldownSelector
+from repro.core.stacked import DqnAgent, decide
 from repro.env.environment import (
     FrameResult,
     FrameStartObservation,
     MidFrameObservation,
 )
-from repro.env.policy import FrequencyDecision, Policy
+from repro.env.policy import FrequencyDecision
 from repro.rl.dqn import DqnConfig, DqnLearner
 from repro.rl.optimizer import Adam
-from repro.rl.replay import ReplayBuffer
+from repro.rl.replay import ReplayBuffer, TransitionBatch
 from repro.rl.schedule import CosineDecaySchedule, LinearDecaySchedule
 from repro.rl.slimmable import SlimmableMLP
 
@@ -129,7 +130,7 @@ class ZttConfig:
         )
 
 
-class ZttPolicy(Policy):
+class ZttPolicy(DqnAgent):
     """The zTT joint CPU/GPU DQN governor (single decision per frame)."""
 
     name = "ztt"
@@ -189,12 +190,9 @@ class ZttPolicy(Policy):
         self._last_state: np.ndarray | None = None
         self._last_action: int | None = None
         self._pending_reward: float | None = None
+        self._decision_state: np.ndarray | None = None
 
     # -- public knobs -------------------------------------------------------------------
-
-    def set_training(self, training: bool) -> None:
-        """Enable/disable exploration and learning."""
-        self.training = training
 
     @property
     def epsilon(self) -> float:
@@ -202,16 +200,6 @@ class ZttPolicy(Policy):
         if not self.training:
             return 0.0
         return self._epsilon_schedule.value(self._step_count)
-
-    @property
-    def loss_history(self) -> List[float]:
-        """TD losses of all training steps so far."""
-        return list(self._loss_history)
-
-    @property
-    def reward_history(self) -> List[float]:
-        """Per-frame rewards observed so far."""
-        return list(self._reward_history)
 
     def reset(self) -> None:
         """Reset per-episode bookkeeping (keeps learned weights and replay)."""
@@ -300,9 +288,15 @@ class ZttPolicy(Policy):
             temperature_reward = (self.temperature_threshold_c - hottest) / margin
         return time_reward + self.config.temperature_weight * temperature_reward
 
-    # -- policy protocol -----------------------------------------------------------------
+    # -- decision phases (see repro.core.stacked) ---------------------------------------
 
-    def begin_frame(self, observation: FrameStartObservation) -> FrequencyDecision:
+    def _acts_at(self, mid: bool) -> bool:
+        return not mid
+
+    def _width(self, mid: bool) -> float:
+        return 1.0
+
+    def _prepare(self, observation, mid: bool) -> TransitionBatch | None:
         state = self._encode(observation)
         if (
             self.training
@@ -318,34 +312,23 @@ class ZttPolicy(Policy):
                 next_width=1.0,
             )
         self._pending_reward = None
-        if (
-            self.training
-            and len(self.buffer) >= max(self.config.learning_starts, self.config.batch_size)
+        self._decision_state = state
+        if self.training and len(self.buffer) >= max(
+            self.config.learning_starts, self.config.batch_size
         ):
-            batch = self.buffer.sample(self.config.batch_size, self.rng)
-            loss = self.learner.train_batch(batch, width=1.0)
-            self._loss_history.append(loss)
+            return self.buffer.sample(self.config.batch_size, self.rng)
+        return None
 
-        forced = None
-        if self.training:
-            forced = self.cooldown.maybe_cooldown_action(
-                self.action_space,
-                observation.cpu_level,
-                observation.gpu_level,
-                observation.cpu_temperature_c,
-                observation.gpu_temperature_c,
-                self.temperature_threshold_c,
-                self.rng,
-            )
-        if forced is not None:
-            action = forced
-        else:
-            action = self.learner.select_action(state, self.epsilon, self.rng, width=1.0)
+    def _commit(self, action: int, forced: bool, mid: bool) -> FrequencyDecision:
         self._step_count += 1
-        self._last_state = state
+        self._last_state = self._decision_state
         self._last_action = action
-        cpu_level, gpu_level = self.action_space.decode(action)
-        return FrequencyDecision(cpu_level=cpu_level, gpu_level=gpu_level)
+        return self._decision(action)
+
+    # -- policy protocol -----------------------------------------------------------------
+
+    def begin_frame(self, observation: FrameStartObservation) -> FrequencyDecision:
+        return decide((self,), (observation,), mid=False)[0]
 
     def mid_frame(self, observation: MidFrameObservation) -> None:
         # zTT only acts once per frame: the mid-frame decision point is the

@@ -17,6 +17,8 @@ detectors.  Its pieces map one-to-one onto the paper's §4:
   for a device/detector pair and runs the online management loop.
 * :mod:`repro.core.config` — all hyper-parameters in one dataclass.
 * :mod:`repro.core.training` — online training session utilities.
+* :mod:`repro.core.stacked` — the three-phase DQN decision path shared by
+  the Lotus and zTT agents, alone or stacked across a fleet member.
 """
 
 from repro.core.action import JointActionSpace
@@ -26,6 +28,7 @@ from repro.core.controller import LotusController
 from repro.core.cooldown import CooldownSelector
 from repro.core.fleet import FleetLotusAgent
 from repro.core.reward import RewardBreakdown, RewardCalculator, RewardConfig
+from repro.core.stacked import StackedAgents
 from repro.core.state import StateEncoder
 from repro.core.training import OnlineSession, SessionResult
 
@@ -41,5 +44,6 @@ __all__ = [
     "RewardCalculator",
     "RewardConfig",
     "SessionResult",
+    "StackedAgents",
     "StateEncoder",
 ]

@@ -17,7 +17,9 @@ cool-down selection whenever the device is overheated.
 
 The agent implements the generic :class:`~repro.env.policy.Policy`
 interface, so the same episode runner that drives the default governors and
-zTT drives Lotus.
+zTT drives Lotus; its decision points run the three phases of
+:func:`repro.core.stacked.decide`, alone or stacked with a fleet's other
+Lotus sessions.
 """
 
 from __future__ import annotations
@@ -31,21 +33,22 @@ from repro.core.action import JointActionSpace
 from repro.core.config import LotusConfig
 from repro.core.cooldown import CooldownSelector
 from repro.core.reward import RewardCalculator
+from repro.core.stacked import DqnAgent, decide
 from repro.core.state import StateEncoder
 from repro.env.environment import (
     FrameResult,
     FrameStartObservation,
     MidFrameObservation,
 )
-from repro.env.policy import FrequencyDecision, Policy
+from repro.env.policy import FrequencyDecision
 from repro.rl.dqn import DqnConfig, DqnLearner
 from repro.rl.optimizer import Adam
-from repro.rl.replay import ReplayBuffer
+from repro.rl.replay import ReplayBuffer, TransitionBatch
 from repro.rl.schedule import CosineDecaySchedule, LinearDecaySchedule
 from repro.rl.slimmable import SlimmableMLP
 
 
-class LotusAgent(Policy):
+class LotusAgent(DqnAgent):
     """Online thermal and latency variation management agent.
 
     Args:
@@ -139,12 +142,9 @@ class LotusAgent(Policy):
         self._mid_state: np.ndarray | None = None
         self._mid_action: int | None = None
         self._pending_transition: tuple[np.ndarray, int, float] | None = None
+        self._decision_state: np.ndarray | None = None
 
     # -- public knobs -------------------------------------------------------------------
-
-    def set_training(self, training: bool) -> None:
-        """Enable/disable exploration and learning (evaluation mode)."""
-        self.training = training
 
     @property
     def epsilon(self) -> float:
@@ -152,16 +152,6 @@ class LotusAgent(Policy):
         if not self.training:
             return 0.0
         return self._epsilon_schedule.value(self._decision_count)
-
-    @property
-    def loss_history(self) -> List[float]:
-        """TD losses of every training step performed so far."""
-        return list(self._loss_history)
-
-    @property
-    def reward_history(self) -> List[float]:
-        """Per-frame rewards observed so far."""
-        return list(self._reward_history)
 
     def reset(self) -> None:
         """Reset per-episode bookkeeping (keeps learned weights and replay)."""
@@ -264,52 +254,20 @@ class LotusAgent(Policy):
             )
         )
 
-    # -- helpers ------------------------------------------------------------------------
+    # -- decision phases (see repro.core.stacked) ---------------------------------------
 
-    def _select_action(
-        self,
-        state: np.ndarray,
-        width: float,
-        cpu_level: int,
-        gpu_level: int,
-        cpu_temperature_c: float,
-        gpu_temperature_c: float,
-    ) -> int:
-        """Cool-down-aware epsilon-greedy action selection."""
-        if self.training:
-            forced = self.cooldown.maybe_cooldown_action(
-                self.action_space,
-                cpu_level,
-                gpu_level,
-                cpu_temperature_c,
-                gpu_temperature_c,
-                self.temperature_threshold_c,
-                self.rng,
-            )
-            if forced is not None:
-                return forced
-        action = self.learner.select_action(state, self.epsilon, self.rng, width=width)
-        self._decision_count += 1
-        return action
+    def _acts_at(self, mid: bool) -> bool:
+        return not (mid and self.config.single_decision)
 
-    def _maybe_train(self, buffer: ReplayBuffer, width: float) -> None:
-        if not self.training:
-            return
-        if len(buffer) < max(self.config.learning_starts, self.config.batch_size):
-            return
-        if self._decision_count % self.config.train_interval != 0:
-            return
-        batch = buffer.sample(self.config.batch_size, self.rng)
-        loss = self.learner.train_batch(batch, width=width)
-        self._loss_history.append(loss)
+    def _width(self, mid: bool) -> float:
+        return 1.0 if mid else self._start_width
 
-    def _decision_from_action(self, action: int) -> FrequencyDecision:
-        cpu_level, gpu_level = self.action_space.decode(action)
-        return FrequencyDecision(cpu_level=cpu_level, gpu_level=gpu_level)
-
-    # -- policy protocol -----------------------------------------------------------------
-
-    def begin_frame(self, observation: FrameStartObservation) -> FrequencyDecision:
+    def _prepare(self, observation, mid: bool) -> TransitionBatch | None:
+        if mid:
+            if self._start_state is None or self._start_action is None:
+                raise AgentError("mid_frame called before begin_frame")
+            self._decision_state = self.encoder.encode_mid(observation)
+            return self._sample(self.mid_buffer)
         state = self.encoder.encode_start(observation)
         # Complete the transition whose next state is this frame's start state:
         # <s_{2i+1}, a_{2i+1}, r_{2i+1}, s_{2i+2}> in the two-decision setting,
@@ -327,37 +285,39 @@ class LotusAgent(Policy):
                 next_width=self._start_width,
             )
         self._pending_transition = None
-        self._maybe_train(self.start_buffer, self._start_width)
-        action = self._select_action(
-            state,
-            self._start_width,
-            observation.cpu_level,
-            observation.gpu_level,
-            observation.cpu_temperature_c,
-            observation.gpu_temperature_c,
-        )
-        self._start_state = state
-        self._start_action = action
-        return self._decision_from_action(action)
+        self._decision_state = state
+        return self._sample(self.start_buffer)
+
+    def _sample(self, buffer: ReplayBuffer) -> TransitionBatch | None:
+        """The replay batch of a due training step, or ``None``."""
+        if not self.training:
+            return None
+        if len(buffer) < max(self.config.learning_starts, self.config.batch_size):
+            return None
+        if self._decision_count % self.config.train_interval != 0:
+            return None
+        return buffer.sample(self.config.batch_size, self.rng)
+
+    def _commit(self, action: int, forced: bool, mid: bool) -> FrequencyDecision:
+        # Cool-down-forced actions are not exploration decisions: they do
+        # not advance the epsilon schedule or the training cadence.
+        if not forced:
+            self._decision_count += 1
+        if mid:
+            self._mid_state = self._decision_state
+            self._mid_action = action
+        else:
+            self._start_state = self._decision_state
+            self._start_action = action
+        return self._decision(action)
+
+    # -- policy protocol -----------------------------------------------------------------
+
+    def begin_frame(self, observation: FrameStartObservation) -> FrequencyDecision:
+        return decide((self,), (observation,), mid=False)[0]
 
     def mid_frame(self, observation: MidFrameObservation) -> FrequencyDecision | None:
-        if self.config.single_decision:
-            return None
-        if self._start_state is None or self._start_action is None:
-            raise AgentError("mid_frame called before begin_frame")
-        state = self.encoder.encode_mid(observation)
-        self._maybe_train(self.mid_buffer, 1.0)
-        action = self._select_action(
-            state,
-            1.0,
-            observation.cpu_level,
-            observation.gpu_level,
-            observation.cpu_temperature_c,
-            observation.gpu_temperature_c,
-        )
-        self._mid_state = state
-        self._mid_action = action
-        return self._decision_from_action(action)
+        return decide((self,), (observation,), mid=True)[0]
 
     def end_frame(self, result: FrameResult) -> None:
         frame_reward = self.reward_calculator.frame_reward(

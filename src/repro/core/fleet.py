@@ -10,8 +10,7 @@ agent sees N times more experience per simulated frame.
 
 This is deliberately a different training regime from N independent scalar
 agents (shared weights, shared replay) — per-session scalar semantics
-remain available through
-:class:`repro.env.fleet.PerSessionPolicies`.  Exploration, the dual-buffer
+remain available through :class:`repro.core.stacked.StackedAgents`.  Exploration, the dual-buffer
 reduced/full-width update scheme, the reward and the epsilon_t cool-down
 follow the scalar agent's design, applied per session.
 """

@@ -19,10 +19,11 @@ this.
 
 Policies drive the fleet through the :class:`FleetPolicy` protocol.
 Vectorized implementations live in :mod:`repro.governors.fleet` (the
-default governors, static policies) and :mod:`repro.core.fleet` (the
-fleet-trained Lotus agent); :class:`PerSessionPolicies` adapts any list of
-scalar :class:`~repro.env.policy.Policy` objects, preserving their exact
-per-session behaviour.
+default governors, static policies), :mod:`repro.core.fleet` (the
+fleet-trained Lotus agent) and :mod:`repro.core.stacked` (per-session
+Lotus/zTT agents sharing one stacked learner); :class:`PerSessionPolicies`
+adapts any list of scalar :class:`~repro.env.policy.Policy` objects,
+preserving their exact per-session behaviour.
 """
 
 from __future__ import annotations
@@ -509,21 +510,18 @@ class FleetPolicy(ABC):
         """Reset any internal state before a new episode."""
 
 
-class PerSessionPolicies(FleetPolicy):
-    """Adapter driving one scalar :class:`Policy` per session.
+class SessionPolicies(FleetPolicy):
+    """A fleet policy made of one scalar :class:`Policy` per session.
 
-    Preserves each policy's exact scalar behaviour (observations are
-    materialised per session), so any existing policy — including learning
-    agents with per-session networks — runs on the fleet engine unchanged.
-    This is the compatibility path; vectorized policies avoid the per-session
-    materialisation cost.
+    Holds the per-session policies and everything that is per-session by
+    nature — outcome feedback, learner histories, checkpoints, episode
+    resets; subclasses decide how the decision points run.
     """
 
     def __init__(self, policies: Sequence[Policy]):
         if not policies:
             raise ConfigurationError("need at least one policy")
         self.policies = list(policies)
-        self.name = f"per-session({policies[0].name})"
 
     def reset(self) -> None:
         for policy in self.policies:
@@ -541,20 +539,6 @@ class PerSessionPolicies(FleetPolicy):
                 gpu[i] = decision.gpu_level
                 mask[i] = True
         return FleetDecision(cpu_levels=cpu, gpu_levels=gpu, mask=mask)
-
-    def begin_frame(self, observation: FleetStartObservation) -> FleetDecision | None:
-        decisions = [
-            policy.begin_frame(observation.session(i))
-            for i, policy in enumerate(self.policies)
-        ]
-        return self._gather(decisions, observation)
-
-    def mid_frame(self, observation: FleetMidObservation) -> FleetDecision | None:
-        decisions = [
-            policy.mid_frame(observation.session(i))
-            for i, policy in enumerate(self.policies)
-        ]
-        return self._gather(decisions, observation)
 
     def end_frame(self, result: FleetFrameResult) -> None:
         for i, policy in enumerate(self.policies):
@@ -590,6 +574,36 @@ class PerSessionPolicies(FleetPolicy):
         for policy, state in zip(self.policies, states):
             if state is not None:
                 policy.load_state_dict(state)
+
+
+class PerSessionPolicies(SessionPolicies):
+    """Adapter driving one scalar :class:`Policy` per session.
+
+    Preserves each policy's exact scalar behaviour (observations are
+    materialised per session), so any existing policy runs on the fleet
+    engine unchanged.  This is the compatibility path; vectorized policies
+    avoid the per-session materialisation cost, and the learning agents run
+    their decision points as one stacked learner
+    (:class:`repro.core.stacked.StackedAgents`).
+    """
+
+    def __init__(self, policies: Sequence[Policy]):
+        super().__init__(policies)
+        self.name = f"per-session({policies[0].name})"
+
+    def begin_frame(self, observation: FleetStartObservation) -> FleetDecision | None:
+        decisions = [
+            policy.begin_frame(observation.session(i))
+            for i, policy in enumerate(self.policies)
+        ]
+        return self._gather(decisions, observation)
+
+    def mid_frame(self, observation: FleetMidObservation) -> FleetDecision | None:
+        decisions = [
+            policy.mid_frame(observation.session(i))
+            for i, policy in enumerate(self.policies)
+        ]
+        return self._gather(decisions, observation)
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,10 @@ from typing import Deque, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ReplayBufferError
-from repro.rl.dqn import DqnLearner
+from repro.errors import AgentError, ConfigurationError, ReplayBufferError
+from repro.rl.dqn import DqnConfig
 from repro.rl.network import he_init, huber_loss_and_grad, relu, relu_grad
+from repro.rl.optimizer import Adam
 from repro.rl.replay import Transition
 from repro.rl.slimmable import ForwardCache
 
@@ -235,13 +236,36 @@ class LegacySlimmableMLP:
         return copy
 
 
-class LegacyDqnLearner(DqnLearner):
-    """The original DQN update: object batches, masks, fancy-indexed Adam.
+class LegacyDqnLearner:
+    """The original DQN learner: object batches, masks, fancy-indexed Adam.
 
-    Inherits action selection, target synchronisation and construction from
-    :class:`~repro.rl.dqn.DqnLearner` (those did not change) and overrides
-    the training path with the pre-vectorization implementation.
+    One online/target network pair with the original construction, action
+    selection, target synchronisation and pre-vectorization training path.
     """
+
+    def __init__(self, network, config=None, optimizer=None, learning_rate_schedule=None):
+        self.network = network
+        self.target_network = network.clone()
+        self.config = config if config is not None else DqnConfig()
+        self.optimizer = optimizer if optimizer is not None else Adam()
+        self.learning_rate_schedule = learning_rate_schedule
+        self.train_steps = 0
+
+    def q_values(self, state: np.ndarray, width: float = 1.0) -> np.ndarray:
+        return self.network.predict(np.asarray(state, dtype=float), width)[0]
+
+    def greedy_action(self, state: np.ndarray, width: float = 1.0) -> int:
+        return int(np.argmax(self.q_values(state, width)))
+
+    def select_action(self, state, epsilon, rng, width: float = 1.0) -> int:
+        if not 0.0 <= epsilon <= 1.0:
+            raise AgentError("epsilon must lie in [0, 1]")
+        if rng.random() < epsilon:
+            return int(rng.integers(self.network.output_dim))
+        return self.greedy_action(state, width)
+
+    def sync_target(self) -> None:
+        self.target_network.set_state(self.network.get_state())
 
     def train_batch(self, transitions: Sequence[Transition], width: float = 1.0) -> float:
         """One DQN update on a batch of transitions (original implementation)."""

@@ -8,6 +8,12 @@ This module compiles that loop with gcc at first use — strictly IEEE
 written in the exact operand pairing and order of the NumPy sequence in
 :meth:`repro.rl.optimizer.Adam.step_flat` — and loads it via ctypes.
 
+The learner's stacked update (:class:`~repro.rl.dqn.DqnLearner`) uses the
+same library for every elementwise tail of a train step over all rows of
+a learner stack at once: the Adam step with per-row learning rates and
+bias corrections, bias-add + ReLU, the double-DQN pair-target tail, the
+Huber gather/scatter and the ReLU backward mask.
+
 The same library also carries the batched *fleet* kernels (see
 :func:`fused_fleet`): RC thermal sub-stepping
 (:meth:`~repro.hardware.fleet.DeviceFleet.advance_thermal`), the AR(1)
@@ -102,34 +108,42 @@ void relu_mask(long n, double *grad, const double *pre) {
     }
 }
 
-/* Huber loss elementwise prep: per-element losses and the clipped,
-   count-normalised gradient.  The mean over losses stays with NumPy (its
-   pairwise summation order must be preserved); everything here is
-   elementwise with the exact operand pairings of the NumPy sequence. */
-void huber_prep(long n, const double *pred, const double *targets,
-                double delta, double count, double *losses, double *grad) {
-    for (long i = 0; i < n; i++) {
-        double e = pred[i] - targets[i];
-        double a = fabs(e);
-        double q = a < delta ? a : delta;       /* minimum(abs, delta) */
-        double l = a - q;                       /* linear part */
-        losses[i] = (0.5 * (q * q)) + (delta * l);
-        double c = e > -delta ? e : -delta;     /* maximum(e, -delta) */
-        c = c < delta ? c : delta;              /* minimum(., delta)  */
-        grad[i] = c / count;
+/* A whole optimizer step for a stack of learners in one call: for each of
+   nrows learners, the same k row-strided regions (one per parameter
+   array; shapes shared, pointer tables prepared once per stack by the
+   caller, nrows * k entries each), with that learner's own learning rate
+   and bias corrections. */
+void adam_step_rows(long nrows, long k, const long *rows, const long *cols,
+                    const long *strides, double **ps, double **gs,
+                    double **ms, double **vs, const double *lr,
+                    const double *bc1, const double *bc2,
+                    double beta1, double beta2, double eps) {
+    for (long s = 0; s < nrows; s++) {
+        for (long i = 0; i < k; i++) {
+            long j = s * k + i;
+            adam_step_region(rows[i], cols[i], strides[i], ps[j], gs[j],
+                             ms[j], vs[j], lr[s], beta1, beta2, eps,
+                             bc1[s], bc2[s]);
+        }
     }
 }
 
-/* A whole sliced optimizer step in one call: k row-strided regions
-   (one per parameter array), pointer tables prepared once by the caller. */
-void adam_step_multi(long k, const long *rows, const long *cols,
-                     const long *strides, double **ps, double **gs,
-                     double **ms, double **vs,
-                     double lr, double beta1, double beta2, double eps,
-                     double bc1, double bc2) {
-    for (long i = 0; i < k; i++) {
-        adam_step_region(rows[i], cols[i], strides[i], ps[i], gs[i],
-                         ms[i], vs[i], lr, beta1, beta2, eps, bc1, bc2);
+/* Sum of squares of each of nrows contiguous rows of n doubles, in eight
+   interleaved partial sums.  Not bitwise-equal to any NumPy reduction and
+   not meant to be: it only screens gradient norms (its relative error is
+   far below the learner's clip-screen margin), single-threaded where a
+   BLAS dot of this size would wake a second thread. */
+void row_sumsq(long nrows, long n, const double *x, double *out) {
+    for (long s = 0; s < nrows; s++) {
+        const double *r = x + s * n;
+        double acc[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+        long i = 0;
+        for (; i + 8 <= n; i += 8) {
+            for (long k = 0; k < 8; k++) acc[k] += r[i + k] * r[i + k];
+        }
+        for (; i < n; i++) acc[0] += r[i] * r[i];
+        out[s] = ((acc[0] + acc[1]) + (acc[2] + acc[3]))
+               + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
     }
 }
 
@@ -229,79 +243,97 @@ void fleet_proposal_tail(long n, const double *scene, double keep_ratio,
     }
 }
 
-/* Fused bias add + ReLU for one hidden layer of the stacked Q forward:
-     z[i][j] += b[j];  act[i][j] = maximum(z[i][j], 0.0)
-   `act` may alias `z` (the inference path reuses the matmul output).  The
-   comparison is `zv >= 0.0 ? zv : 0.0`, NumPy maximum's tie rule, so the
-   sign of a -0.0 pre-activation survives exactly as in NumPy. */
-void bias_relu(long rows, long cols, double *z, const double *b,
-               double *act) {
-    for (long r = 0; r < rows; r++) {
-        double *zr = z + r * cols;
-        double *ar = act + r * cols;
-        for (long c = 0; c < cols; c++) {
-            double zv = zr[c] + b[c];
-            zr[c] = zv;
-            ar[c] = zv >= 0.0 ? zv : 0.0;
+/* Fused bias add + ReLU for one hidden layer of a stack of learners:
+     z[s][i][j] += b[s][j];  act[s][i][j] = maximum(z[s][i][j], 0.0)
+   over nrows contiguous (rows x cols) blocks; block s's bias starts
+   s * b_row elements after b (each learner's parameters live one row of
+   the stack's pair buffer apart).  `act` may alias `z` (the inference
+   path reuses the matmul output).  The comparison is
+   `zv >= 0.0 ? zv : 0.0`, NumPy maximum's tie rule, so the sign of a -0.0
+   pre-activation survives exactly as in NumPy. */
+void bias_relu(long nrows, long rows, long cols, double *z, const double *b,
+               long b_row, double *act) {
+    for (long s = 0; s < nrows; s++) {
+        const double *bs = b + s * b_row;
+        for (long r = 0; r < rows; r++) {
+            double *zr = z + (s * rows + r) * cols;
+            double *ar = act + (s * rows + r) * cols;
+            for (long c = 0; c < cols; c++) {
+                double zv = zr[c] + bs[c];
+                zr[c] = zv;
+                ar[c] = zv >= 0.0 ? zv : 0.0;
+            }
         }
     }
 }
 
-/* Fused bias add (+ optional ReLU) over one (2, batch, units) layer of the
-   stacked online/target pair forward, in place.  The two halves carry
-   different bias vectors (the online and target parameters live a fixed
-   byte offset apart in the shared pair buffer), hence two base pointers.
+/* Fused bias add (+ optional ReLU) over one (nrows, 2, batch, units) layer
+   of the stacked online/target pair forward, in place.  The online and
+   target halves of learner s carry different bias vectors, at
+   b + s * b_row and b_half elements further on (the pair buffer keeps
+   each learner's online and target parameters a fixed distance apart).
    Ops per element match `z += b; maximum(z, 0, out=z)` exactly — same
    addition, same `zv >= 0.0 ? zv : 0.0` tie rule as bias_relu above. */
-void pair_bias_relu(long batch, long units, double *z, const double *b0,
-                    const double *b1, long relu) {
-    for (long h = 0; h < 2; h++) {
-        const double *b = h ? b1 : b0;
-        double *zh = z + h * batch * units;
-        for (long r = 0; r < batch; r++) {
-            double *zr = zh + r * units;
-            for (long c = 0; c < units; c++) {
-                double zv = zr[c] + b[c];
-                zr[c] = relu ? (zv >= 0.0 ? zv : 0.0) : zv;
+void pair_bias_relu(long nrows, long batch, long units, double *z,
+                    const double *b, long b_row, long b_half, long relu) {
+    for (long s = 0; s < nrows; s++) {
+        for (long h = 0; h < 2; h++) {
+            const double *bh = b + s * b_row + h * b_half;
+            double *zh = z + (2 * s + h) * batch * units;
+            for (long r = 0; r < batch; r++) {
+                double *zr = zh + r * units;
+                for (long c = 0; c < units; c++) {
+                    double zv = zr[c] + bh[c];
+                    zr[c] = relu ? (zv >= 0.0 ? zv : 0.0) : zv;
+                }
             }
         }
     }
 }
 
-/* The double-DQN TD-target tail, fused over the final (2, batch, actions)
-   pair layer straight after its matmul (bias not yet added): per sample,
-   bias-add the online row, argmax it with NumPy's exact semantics (first
-   occurrence wins ties, any NaN wins immediately at its first position),
-   gather the target Q at that action (bias added on the fly — same
-   addition as the full broadcast, just only at the gathered cell), and
-   emit `(target_q * discount) + rewards[i]` — the exact operand pairing
-   of the NumPy sequence `max_next_q *= discount; max_next_q += rewards`. */
-void pair_q_targets(long batch, long actions, const double *z,
-                    const double *b0, const double *b1, double discount,
-                    const double *rewards, double *out) {
-    const double *ztgt = z + batch * actions;
-    for (long i = 0; i < batch; i++) {
-        const double *onl = z + i * actions;
-        long best = 0;
-        double bestv = onl[0] + b0[0];
-        if (!isnan(bestv)) {
-            for (long c = 1; c < actions; c++) {
-                double v = onl[c] + b0[c];
-                if (isnan(v)) { best = c; break; }
-                if (v > bestv) { bestv = v; best = c; }
+/* The double-DQN TD-target tail, fused over the final (nrows, 2, batch,
+   actions) pair layer straight after its matmul (bias not yet added; the
+   biases are laid out as for pair_bias_relu): per sample, bias-add the
+   online row, argmax it with NumPy's exact semantics (first occurrence
+   wins ties, any NaN wins immediately at its first position), gather the
+   target Q at that action (bias added on the fly — same addition as the
+   full broadcast, just only at the gathered cell), and emit
+   `(target_q * discount) + rewards[s][i]` — the exact operand pairing of
+   the NumPy sequence `max_next_q *= discount; max_next_q += rewards`. */
+void pair_q_targets(long nrows, long batch, long actions, const double *z,
+                    const double *b, long b_row, long b_half,
+                    double discount, const double *rewards, double *out) {
+    for (long s = 0; s < nrows; s++) {
+        const double *b0 = b + s * b_row;
+        const double *b1 = b0 + b_half;
+        const double *zon = z + 2 * s * batch * actions;
+        const double *ztgt = zon + batch * actions;
+        for (long i = 0; i < batch; i++) {
+            const double *onl = zon + i * actions;
+            long best = 0;
+            double bestv = onl[0] + b0[0];
+            if (!isnan(bestv)) {
+                for (long c = 1; c < actions; c++) {
+                    double v = onl[c] + b0[c];
+                    if (isnan(v)) { best = c; break; }
+                    if (v > bestv) { bestv = v; best = c; }
+                }
             }
+            double tv = ztgt[i * actions + best] + b1[best];
+            out[s * batch + i] = (tv * discount) + rewards[s * batch + i];
         }
-        double tv = ztgt[i * actions + best] + b1[best];
-        out[i] = (tv * discount) + rewards[i];
     }
 }
 
 /* Fused Q gather + Huber prep + gradient scatter: gathers the taken
    (row, action) predictions from the ravelled (batch, actions) output
-   plane, runs the exact huber_prep op sequence against the targets, and
-   scatters the per-sample gradients into a zeroed (batch * actions) flat
-   gradient plane.  Replaces take + huber_prep + fill(0) + fancy-index
-   scatter with one pass; the loss mean over `losses` stays with NumPy. */
+   plane, computes per-element Huber losses and the clipped,
+   count-normalised gradient against the targets (the exact operand
+   pairings of DqnLearner's NumPy sequence; the loss mean stays with
+   NumPy, whose pairwise summation order must be preserved), and scatters
+   the per-sample gradients into a zeroed (batch * actions) flat gradient
+   plane.  Replaces take + the Huber ops + fill(0) + fancy-index
+   scatter with one pass. */
 void q_huber_scatter(long n, long actions, const double *outputs,
                      const long *flat_index, const double *targets,
                      double delta, double count, double *losses,
@@ -339,12 +371,18 @@ _CFLAGS = [
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 
 
-class AdamPlan:
-    """Pointer/dimension tables for one fused multi-region Adam step."""
+class RowsPlan:
+    """Pointer/dimension tables for one fused Adam step over a learner stack.
 
-    __slots__ = ("k", "rows", "cols", "strides", "ps", "gs", "ms", "vs", "keepalive")
+    ``rows``/``cols``/``strides`` describe the ``k`` regions every learner
+    updates (shared shapes); ``ps``/``gs``/``ms``/``vs`` hold ``nrows * k``
+    raw addresses, learner-major.
+    """
 
-    def __init__(self, k, rows, cols, strides, ps, gs, ms, vs, keepalive):
+    __slots__ = ("nrows", "k", "rows", "cols", "strides", "ps", "gs", "ms", "vs")
+
+    def __init__(self, nrows, k, rows, cols, strides, ps, gs, ms, vs):
+        self.nrows = nrows
         self.k = k
         self.rows = rows
         self.cols = cols
@@ -353,146 +391,232 @@ class AdamPlan:
         self.gs = gs
         self.ms = ms
         self.vs = vs
-        self.keepalive = keepalive
 
 
 class _FusedAdam:
     """ctypes wrapper around the compiled kernels.
 
     All pointer arguments are typed ``c_void_p`` so callers can pass raw
-    integer addresses (``array.ctypes.data``); hot paths cache those
-    addresses for their long-lived scratch buffers instead of paying the
+    integer addresses (``array.ctypes.data``); hot paths take those
+    addresses once for their long-lived buffers instead of paying the
     ctypes pointer-conversion machinery on every call (the ``*_raw``
-    methods).
+    methods and :class:`RowsPlan`).
     """
 
     def __init__(self, lib: ctypes.CDLL):
-        self._flat = lib.adam_step_flat
-        self._flat.restype = None
-        self._flat.argtypes = [
-            ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_void_p,
-            ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double,
-            ctypes.c_double, ctypes.c_double,
-        ]
-        self._region = lib.adam_step_region
-        self._region.restype = None
-        self._region.argtypes = [
-            ctypes.c_long, ctypes.c_long, ctypes.c_long,
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double,
-            ctypes.c_double, ctypes.c_double,
-        ]
-        self._multi = lib.adam_step_multi
-        self._multi.restype = None
-        self._multi.argtypes = [
-            ctypes.c_long,
-            ctypes.POINTER(ctypes.c_long), ctypes.POINTER(ctypes.c_long),
-            ctypes.POINTER(ctypes.c_long),
-            ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(ctypes.c_void_p),
-            ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(ctypes.c_void_p),
-            ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double,
-            ctypes.c_double, ctypes.c_double,
-        ]
-        self._relu_mask = lib.relu_mask
-        self._relu_mask.restype = None
-        self._relu_mask.argtypes = [ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]
-        self._huber_prep = lib.huber_prep
-        self._huber_prep.restype = None
-        self._huber_prep.argtypes = [
-            ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_double, ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p,
-        ]
-        self._fleet_thermal = lib.fleet_thermal_advance
-        self._fleet_thermal.restype = None
-        self._fleet_thermal.argtypes = [
-            ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p,
-        ]
-        self._fleet_ar1 = lib.fleet_ar1_advance
-        self._fleet_ar1.restype = None
-        self._fleet_ar1.argtypes = [
-            ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-        ]
-        self._proposal_tail = lib.fleet_proposal_tail
-        self._proposal_tail.restype = None
-        self._proposal_tail.argtypes = [
-            ctypes.c_long, ctypes.c_void_p, ctypes.c_double,
-            ctypes.c_long, ctypes.c_void_p,
-            ctypes.c_double, ctypes.c_double, ctypes.c_void_p,
-        ]
-        self._bias_relu = lib.bias_relu
-        self._bias_relu.restype = None
-        self._bias_relu.argtypes = [
-            ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_void_p,
-        ]
-        self._pair_bias_relu = lib.pair_bias_relu
-        self._pair_bias_relu.restype = None
-        self._pair_bias_relu.argtypes = [
-            ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_void_p, ctypes.c_long,
-        ]
-        self._pair_q_targets = lib.pair_q_targets
-        self._pair_q_targets.restype = None
-        self._pair_q_targets.argtypes = [
-            ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p,
-        ]
-        self._q_huber_scatter = lib.q_huber_scatter
-        self._q_huber_scatter.restype = None
-        self._q_huber_scatter.argtypes = [
-            ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_void_p, ctypes.c_double, ctypes.c_double, ctypes.c_void_p,
-            ctypes.c_void_p,
-        ]
+        def bind(name: str, *argtypes) -> ctypes._CFuncPtr:
+            function = getattr(lib, name)
+            function.restype = None
+            function.argtypes = list(argtypes)
+            return function
+
+        long_, double, ptr = ctypes.c_long, ctypes.c_double, ctypes.c_void_p
+        self._flat = bind(
+            "adam_step_flat", long_, ptr, ptr, ptr, ptr,
+            double, double, double, double, double, double,
+        )
+        self._rows = bind(
+            "adam_step_rows", long_, long_,
+            ctypes.POINTER(long_), ctypes.POINTER(long_), ctypes.POINTER(long_),
+            ctypes.POINTER(ptr), ctypes.POINTER(ptr),
+            ctypes.POINTER(ptr), ctypes.POINTER(ptr),
+            ptr, ptr, ptr, double, double, double,
+        )
+        self._relu_mask = bind("relu_mask", long_, ptr, ptr)
+        self._row_sumsq = bind("row_sumsq", long_, long_, ptr, ptr)
+        self._fleet_thermal = bind(
+            "fleet_thermal_advance", long_, long_, ptr, ptr, ptr, ptr, ptr,
+            long_, ptr, ptr, ptr, ptr, double, ptr, ptr,
+        )
+        self._fleet_ar1 = bind("fleet_ar1_advance", long_, ptr, ptr, ptr, ptr, ptr, ptr)
+        self._proposal_tail = bind(
+            "fleet_proposal_tail", long_, ptr, double, long_, ptr, double, double, ptr,
+        )
+        self._bias_relu = bind("bias_relu", long_, long_, long_, ptr, ptr, long_, ptr)
+        self._pair_bias_relu = bind(
+            "pair_bias_relu", long_, long_, long_, ptr, ptr, long_, long_, long_,
+        )
+        self._pair_q_targets = bind(
+            "pair_q_targets", long_, long_, long_, ptr, ptr, long_, long_,
+            double, ptr, ptr,
+        )
+        self._q_huber_scatter = bind(
+            "q_huber_scatter", long_, long_, ptr, ptr, ptr, double, double, ptr, ptr,
+        )
 
     @staticmethod
     def _ptr(array: np.ndarray) -> int:
         return array.ctypes.data
 
-    def make_plan(
-        self,
-        param_views: list,
-        grads: list,
-        m_views: list,
-        v_views: list,
-    ) -> "AdamPlan":
-        """Precompute the pointer/dimension tables for ``step_multi``.
+    # -- learner kernels -----------------------------------------------------
 
-        All arrays must stay alive and in place for the plan's lifetime
-        (the plan holds references to guarantee the former; the callers—
-        flat-backed networks and optimizer state—guarantee the latter).
+    def make_rows_plan(
+        self,
+        region_shapes: list,
+        params: list,
+        grads: list,
+        first_moments: list,
+        second_moments: list,
+    ) -> RowsPlan:
+        """Precompute the tables for :meth:`step_rows`.
+
+        ``region_shapes`` lists ``(rows, cols, row_stride)`` (in elements)
+        per region; the other four arguments are flat, learner-major lists
+        of raw addresses, ``len(region_shapes)`` per learner.  Every buffer
+        must stay alive and in place for the plan's lifetime.
         """
-        k = len(param_views)
-        rows, cols, strides = [], [], []
-        for a in param_views:
-            if a.ndim == 1:
-                rows.append(1)
-                cols.append(a.shape[0])
-                strides.append(a.shape[0])
-            else:
-                rows.append(a.shape[0])
-                cols.append(a.shape[1])
-                strides.append(a.strides[0] // a.itemsize)
-        return AdamPlan(
+        k = len(region_shapes)
+        n = len(params)
+        table = ctypes.c_void_p * n
+        return RowsPlan(
+            nrows=n // k,
             k=k,
-            rows=(ctypes.c_long * k)(*rows),
-            cols=(ctypes.c_long * k)(*cols),
-            strides=(ctypes.c_long * k)(*strides),
-            ps=(ctypes.c_void_p * k)(*[a.ctypes.data for a in param_views]),
-            gs=(ctypes.c_void_p * k)(*[a.ctypes.data for a in grads]),
-            ms=(ctypes.c_void_p * k)(*[a.ctypes.data for a in m_views]),
-            vs=(ctypes.c_void_p * k)(*[a.ctypes.data for a in v_views]),
-            keepalive=(param_views, grads, m_views, v_views),
+            rows=(ctypes.c_long * k)(*[shape[0] for shape in region_shapes]),
+            cols=(ctypes.c_long * k)(*[shape[1] for shape in region_shapes]),
+            strides=(ctypes.c_long * k)(*[shape[2] for shape in region_shapes]),
+            ps=table(*params),
+            gs=table(*grads),
+            ms=table(*first_moments),
+            vs=table(*second_moments),
         )
 
-    def step_multi(
+    def step_rows(
         self,
-        plan: "AdamPlan",
+        plan: RowsPlan,
+        lr_addr: int,
+        bc1_addr: int,
+        bc2_addr: int,
+        beta1: float,
+        beta2: float,
+        eps: float,
+    ) -> None:
+        """One Adam step for every learner of ``plan``, each with its own
+        learning rate and bias corrections (``nrows``-long double arrays)."""
+        _obs.kernel_call("step_rows")
+        self._rows(
+            plan.nrows, plan.k, plan.rows, plan.cols, plan.strides,
+            plan.ps, plan.gs, plan.ms, plan.vs,
+            lr_addr, bc1_addr, bc2_addr, beta1, beta2, eps,
+        )
+
+    def relu_mask_raw(self, n: int, grad_addr: int, pre_addr: int) -> None:
+        """``grad *= pre > 0`` over ``n`` contiguous doubles (raw addresses)."""
+        _obs.kernel_call("relu_mask_raw")
+        self._relu_mask(n, grad_addr, pre_addr)
+
+    def row_sumsq_raw(self, nrows: int, n: int, x_addr: int, out_addr: int) -> None:
+        """Sum of squares of each of ``nrows`` contiguous rows of ``n``
+        doubles (a screen, not bitwise-equal to a NumPy reduction)."""
+        _obs.kernel_call("row_sumsq")
+        self._row_sumsq(nrows, n, x_addr, out_addr)
+
+    def bias_relu(self, z: np.ndarray, b: np.ndarray, act: np.ndarray) -> None:
+        """``z += b`` then ``act = maximum(z, 0)`` for one hidden layer.
+
+        ``z`` and ``act`` are ``(batch, units)`` C-contiguous float64 and may
+        be the same array; ``b`` is the contiguous active bias slice.
+        """
+        _obs.kernel_call("bias_relu")
+        rows, cols = z.shape
+        self._bias_relu(1, rows, cols, self._ptr(z), self._ptr(b), 0, self._ptr(act))
+
+    def bias_relu_raw(
+        self,
+        nrows: int,
+        rows: int,
+        cols: int,
+        z_addr: int,
+        b_addr: int,
+        b_row: int,
+        act_addr: int,
+    ) -> None:
+        """:meth:`bias_relu` over ``nrows`` stacked ``(rows, cols)`` blocks
+        (raw addresses); block ``s`` adds the bias ``s * b_row`` elements
+        after ``b_addr``."""
+        _obs.kernel_call("bias_relu_raw")
+        self._bias_relu(nrows, rows, cols, z_addr, b_addr, b_row, act_addr)
+
+    def pair_bias_relu_raw(
+        self,
+        nrows: int,
+        batch: int,
+        units: int,
+        z_addr: int,
+        b_addr: int,
+        b_row: int,
+        b_half: int,
+        relu: bool,
+    ) -> None:
+        """Bias add (+ ReLU when ``relu``) over one stacked pair layer.
+
+        ``z`` is the C-contiguous ``(nrows, 2, batch, units)`` activation
+        scratch (online half first); learner ``s``'s online bias starts
+        ``s * b_row`` elements after ``b_addr`` and its target bias
+        ``b_half`` elements after that.
+        """
+        _obs.kernel_call("pair_bias_relu")
+        self._pair_bias_relu(
+            nrows, batch, units, z_addr, b_addr, b_row, b_half, 1 if relu else 0
+        )
+
+    def pair_q_targets_raw(
+        self,
+        nrows: int,
+        batch: int,
+        actions: int,
+        z_addr: int,
+        b_addr: int,
+        b_row: int,
+        b_half: int,
+        discount: float,
+        rewards_addr: int,
+        out_addr: int,
+    ) -> None:
+        """Double-DQN TD targets from the biasless final pair layer.
+
+        ``z`` is the ``(nrows, 2, batch, actions)`` output of the last
+        stacked matmul (bias NOT yet added — the kernel folds it in; bias
+        layout as in :meth:`pair_bias_relu_raw`).  Writes
+        ``(target_q[argmax online_q] * discount) + rewards`` into the
+        ``(nrows, batch)`` ``out``.
+        """
+        _obs.kernel_call("pair_q_targets")
+        self._pair_q_targets(
+            nrows, batch, actions, z_addr, b_addr, b_row, b_half,
+            discount, rewards_addr, out_addr,
+        )
+
+    def q_huber_scatter_raw(
+        self,
+        n: int,
+        actions: int,
+        outputs_addr: int,
+        flat_index_addr: int,
+        targets_addr: int,
+        delta: float,
+        count: float,
+        losses_addr: int,
+        grad_flat_addr: int,
+    ) -> None:
+        """Fused Q gather + Huber prep + gradient scatter (raw addresses).
+
+        Zero-fills the ``n * actions`` flat gradient plane, then per sample
+        gathers ``outputs[flat_index[i]]``, computes the Huber loss and its
+        clipped, ``count``-normalised gradient against ``targets``, and
+        scatters the gradient back at ``flat_index[i]``.
+        """
+        _obs.kernel_call("q_huber_scatter_raw")
+        self._q_huber_scatter(
+            n, actions, outputs_addr, flat_index_addr, targets_addr,
+            delta, count, losses_addr, grad_flat_addr,
+        )
+
+    def step_flat(
+        self,
+        params: np.ndarray,
+        grads: np.ndarray,
+        m: np.ndarray,
+        v: np.ndarray,
         lr: float,
         beta1: float,
         beta2: float,
@@ -500,54 +624,10 @@ class _FusedAdam:
         bc1: float,
         bc2: float,
     ) -> None:
-        _obs.kernel_call("step_multi")
-        self._multi(
-            plan.k, plan.rows, plan.cols, plan.strides,
-            plan.ps, plan.gs, plan.ms, plan.vs,
-            lr, beta1, beta2, eps, bc1, bc2,
-        )
-
-    def relu_mask(self, grad: np.ndarray, pre: np.ndarray) -> None:
-        """``grad *= pre > 0`` over contiguous same-sized arrays."""
-        _obs.kernel_call("relu_mask")
-        self._relu_mask(grad.size, self._ptr(grad), self._ptr(pre))
-
-    def relu_mask_raw(self, n: int, grad_addr: int, pre_addr: int) -> None:
-        """:meth:`relu_mask` with precomputed buffer addresses."""
-        _obs.kernel_call("relu_mask_raw")
-        self._relu_mask(n, grad_addr, pre_addr)
-
-    def huber_prep(
-        self,
-        predictions: np.ndarray,
-        targets: np.ndarray,
-        delta: float,
-        count: float,
-        losses: np.ndarray,
-        grad: np.ndarray,
-    ) -> None:
-        """Per-element Huber losses and clipped gradient (contiguous 1-D)."""
-        _obs.kernel_call("huber_prep")
-        self._huber_prep(
-            predictions.size, self._ptr(predictions), self._ptr(targets),
-            delta, count, self._ptr(losses), self._ptr(grad),
-        )
-
-    def huber_prep_raw(
-        self,
-        n: int,
-        predictions_addr: int,
-        targets_addr: int,
-        delta: float,
-        count: float,
-        losses_addr: int,
-        grad_addr: int,
-    ) -> None:
-        """:meth:`huber_prep` with precomputed buffer addresses."""
-        _obs.kernel_call("huber_prep_raw")
-        self._huber_prep(
-            n, predictions_addr, targets_addr, delta, count,
-            losses_addr, grad_addr,
+        _obs.kernel_call("step_flat")
+        self._flat(
+            params.size, self._ptr(params), self._ptr(grads),
+            self._ptr(m), self._ptr(v), lr, beta1, beta2, eps, bc1, bc2,
         )
 
     # -- fleet kernels -------------------------------------------------------
@@ -619,126 +699,6 @@ class _FusedAdam:
             min_proposals, max_proposals, self._ptr(out),
         )
 
-    def bias_relu(self, z: np.ndarray, b: np.ndarray, act: np.ndarray) -> None:
-        """``z += b`` then ``act = maximum(z, 0)`` for one hidden layer.
-
-        ``z`` and ``act`` are ``(batch, units)`` C-contiguous float64 and may
-        be the same array; ``b`` is the contiguous active bias slice.
-        """
-        _obs.kernel_call("bias_relu")
-        rows, cols = z.shape
-        self._bias_relu(rows, cols, self._ptr(z), self._ptr(b), self._ptr(act))
-
-    def pair_bias_relu(self, z: np.ndarray, b: np.ndarray, relu: bool) -> None:
-        """Bias add (+ ReLU when ``relu``) over one stacked pair layer.
-
-        ``z`` is the C-contiguous ``(2, batch, units)`` activation scratch
-        (online half first); ``b`` is the strided ``(2, 1, units)`` pair
-        bias view, whose two halves sit ``b.strides[0]`` bytes apart in the
-        shared pair parameter buffer.
-        """
-        _obs.kernel_call("pair_bias_relu")
-        _, batch, units = z.shape
-        b0 = b.ctypes.data
-        self._pair_bias_relu(
-            batch, units, self._ptr(z), b0, b0 + b.strides[0], 1 if relu else 0
-        )
-
-    def pair_q_targets(
-        self,
-        z: np.ndarray,
-        b: np.ndarray,
-        discount: float,
-        rewards: np.ndarray,
-        out: np.ndarray,
-    ) -> None:
-        """Double-DQN TD targets from the biasless final pair layer.
-
-        ``z`` is the ``(2, batch, actions)`` output of the last stacked
-        matmul (bias NOT yet added — the kernel folds it in); ``b`` the
-        ``(2, 1, actions)`` pair bias view.  Writes
-        ``(target_q[argmax online_q] * discount) + rewards`` into ``out``.
-        """
-        _obs.kernel_call("pair_q_targets")
-        _, batch, actions = z.shape
-        b0 = b.ctypes.data
-        self._pair_q_targets(
-            batch, actions, self._ptr(z), b0, b0 + b.strides[0],
-            discount, self._ptr(rewards), self._ptr(out),
-        )
-
-    def q_huber_scatter_raw(
-        self,
-        n: int,
-        actions: int,
-        outputs_addr: int,
-        flat_index_addr: int,
-        targets_addr: int,
-        delta: float,
-        count: float,
-        losses_addr: int,
-        grad_flat_addr: int,
-    ) -> None:
-        """Fused Q gather + Huber prep + gradient scatter (raw addresses).
-
-        Zero-fills the ``n * actions`` flat gradient plane, then per sample
-        gathers ``outputs[flat_index[i]]``, computes the Huber loss/gradient
-        against ``targets`` with the exact ``huber_prep`` op sequence, and
-        scatters the gradient back at ``flat_index[i]``.
-        """
-        _obs.kernel_call("q_huber_scatter_raw")
-        self._q_huber_scatter(
-            n, actions, outputs_addr, flat_index_addr, targets_addr,
-            delta, count, losses_addr, grad_flat_addr,
-        )
-
-    def step_flat(
-        self,
-        params: np.ndarray,
-        grads: np.ndarray,
-        m: np.ndarray,
-        v: np.ndarray,
-        lr: float,
-        beta1: float,
-        beta2: float,
-        eps: float,
-        bc1: float,
-        bc2: float,
-    ) -> None:
-        _obs.kernel_call("step_flat")
-        self._flat(
-            params.size, self._ptr(params), self._ptr(grads),
-            self._ptr(m), self._ptr(v), lr, beta1, beta2, eps, bc1, bc2,
-        )
-
-    def step_region(
-        self,
-        param_view: np.ndarray,
-        grad: np.ndarray,
-        m_view: np.ndarray,
-        v_view: np.ndarray,
-        lr: float,
-        beta1: float,
-        beta2: float,
-        eps: float,
-        bc1: float,
-        bc2: float,
-    ) -> None:
-        """Update a (rows, cols) row-strided view from a contiguous gradient."""
-        _obs.kernel_call("step_region")
-        if param_view.ndim == 1:
-            rows, cols = 1, param_view.shape[0]
-            stride = cols
-        else:
-            rows, cols = param_view.shape
-            stride = param_view.strides[0] // param_view.itemsize
-        self._region(
-            rows, cols, stride,
-            self._ptr(param_view), self._ptr(grad),
-            self._ptr(m_view), self._ptr(v_view),
-            lr, beta1, beta2, eps, bc1, bc2,
-        )
-
 
 def _reference_step(p, g, m, v, lr, beta1, beta2, eps, bc1, bc2):
     """The NumPy op sequence the kernel must reproduce bit for bit."""
@@ -772,71 +732,59 @@ def _self_test(kernel: _FusedAdam) -> bool:
         and np.array_equal(v_ref, v_c)
     ):
         return False
-    # Region variant on a strided rectangle.
-    full = rng.normal(size=(24, 32))
-    mf = rng.normal(size=(24, 32)) * 0.1
-    vf = np.abs(rng.normal(size=(24, 32))) * 0.01
-    grad = rng.normal(size=(20, 24)).copy()
-    p_ref2, m_ref2, v_ref2 = full.copy(), mf.copy(), vf.copy()
-    _reference_step(
-        p_ref2[:20, :24], grad, m_ref2[:20, :24], v_ref2[:20, :24], *args
+    # Stacked rows: two learners, each a strided matrix region plus a
+    # vector, with per-learner learning rates and bias corrections.
+    shapes = [(8, 12, 16), (1, 14, 14)]
+    learners = []
+    for _ in range(2):
+        pw = rng.normal(size=(10, 16))
+        mw = rng.normal(size=(10, 16)) * 0.1
+        vw = np.abs(rng.normal(size=(10, 16))) * 0.01
+        gw = rng.normal(size=(8, 12))
+        pb = rng.normal(size=20)
+        mb = rng.normal(size=20) * 0.1
+        vb = np.abs(rng.normal(size=20)) * 0.01
+        gb = rng.normal(size=14)
+        learners.append((pw, mw, vw, gw, pb, mb, vb, gb))
+    lr = np.array([0.003, 0.0007])
+    bc1 = np.array([0.3, 0.6])
+    bc2 = np.array([0.05, 0.2])
+    refs = []
+    for s, (pw, mw, vw, gw, pb, mb, vb, gb) in enumerate(learners):
+        ref = [x.copy() for x in (pw, mw, vw, pb, mb, vb)]
+        row_args = (lr[s], 0.9, 0.99, 1e-8, bc1[s], bc2[s])
+        _reference_step(ref[0][:8, :12], gw, ref[1][:8, :12], ref[2][:8, :12], *row_args)
+        _reference_step(ref[3][:14], gb, ref[4][:14], ref[5][:14], *row_args)
+        refs.append(ref)
+    plan = kernel.make_rows_plan(
+        shapes,
+        [x.ctypes.data for l in learners for x in (l[0], l[4])],
+        [x.ctypes.data for l in learners for x in (l[3], l[7])],
+        [x.ctypes.data for l in learners for x in (l[1], l[5])],
+        [x.ctypes.data for l in learners for x in (l[2], l[6])],
     )
-    kernel.step_region(full[:20, :24], grad, mf[:20, :24], vf[:20, :24], *args)
-    if not (
-        np.array_equal(p_ref2, full)
-        and np.array_equal(m_ref2, mf)
-        and np.array_equal(v_ref2, vf)
-    ):
-        return False
-    # Plan/multi plumbing: a strided matrix region plus a vector in one call.
-    pw = rng.normal(size=(10, 16))
-    mw = rng.normal(size=(10, 16)) * 0.1
-    vw = np.abs(rng.normal(size=(10, 16))) * 0.01
-    gw = rng.normal(size=(8, 12)).copy()
-    pb = rng.normal(size=20)
-    mb = rng.normal(size=20) * 0.1
-    vb = np.abs(rng.normal(size=20)) * 0.01
-    gb = rng.normal(size=14).copy()
-    refs = [a.copy() for a in (pw, mw, vw, pb, mb, vb)]
-    _reference_step(refs[0][:8, :12], gw, refs[1][:8, :12], refs[2][:8, :12], *args)
-    _reference_step(refs[3][:14], gb, refs[4][:14], refs[5][:14], *args)
-    plan = kernel.make_plan(
-        [pw[:8, :12], pb[:14]],
-        [gw, gb],
-        [mw[:8, :12], mb[:14]],
-        [vw[:8, :12], vb[:14]],
+    kernel.step_rows(
+        plan, lr.ctypes.data, bc1.ctypes.data, bc2.ctypes.data, 0.9, 0.99, 1e-8
     )
-    kernel.step_multi(plan, *args)
-    if not all(
-        np.array_equal(ref, live)
-        for ref, live in zip(refs, (pw, mw, vw, pb, mb, vb))
-    ):
-        return False
+    for ref, (pw, mw, vw, _, pb, mb, vb, _) in zip(refs, learners):
+        if not all(
+            np.array_equal(r, live) for r, live in zip(ref, (pw, mw, vw, pb, mb, vb))
+        ):
+            return False
     # ReLU mask: must match NumPy's float-by-bool multiply bit for bit,
     # including the sign of zero on masked-out entries.
     pre = rng.normal(size=256)
     g_ref = rng.normal(size=256)
     g_c = g_ref.copy()
     g_ref *= pre > 0.0
-    kernel.relu_mask(g_c, pre)
+    kernel.relu_mask_raw(g_c.size, g_c.ctypes.data, pre.ctypes.data)
     if not np.array_equal(g_ref.view(np.int64), g_c.view(np.int64)):
         return False
-    # Huber elementwise prep vs. the NumPy op sequence.
-    preds = rng.normal(size=97)
-    targs = rng.normal(size=97)
-    delta, cnt = 1.0, 97.0
-    err = preds - targs
-    abs_err = np.abs(err)
-    quad = np.minimum(abs_err, delta)
-    losses_ref = 0.5 * (quad * quad) + delta * (abs_err - quad)
-    grad_ref = np.minimum(np.maximum(err, -delta), delta) / cnt
-    losses_c = np.empty(97)
-    grad_c = np.empty(97)
-    kernel.huber_prep(preds, targs, delta, cnt, losses_c, grad_c)
-    if not (
-        np.array_equal(losses_ref.view(np.int64), losses_c.view(np.int64))
-        and np.array_equal(grad_ref.view(np.int64), grad_c.view(np.int64))
-    ):
+    # Row sums of squares: a screen, so close to (not bitwise) the exact sums.
+    rows_x = rng.normal(size=(3, 1001))
+    sums = np.empty(3)
+    kernel.row_sumsq_raw(3, 1001, rows_x.ctypes.data, sums.ctypes.data)
+    if not np.allclose(sums, np.einsum("ij,ij->i", rows_x, rows_x), rtol=1e-13, atol=0):
         return False
     # Fleet thermal sub-stepping vs. the DeviceFleet.advance_thermal NumPy
     # loop: mixed durations (zero, sub-step-sized, multi-step) so sessions
@@ -931,57 +879,87 @@ def _self_test(kernel: _FusedAdam) -> bool:
     kernel.bias_relu(z_alias, bias, z_alias)
     if not np.array_equal(act_ref.view(np.int64), z_alias.view(np.int64)):
         return False
-    # Pair bias add (+ ReLU) over a (2, batch, units) stacked layer, with
-    # the two bias halves living `half` bytes apart like the real pair
-    # parameter buffer (strided (2, 1, units) view), relu and no-relu forms.
-    units, half_elems, off = 23, 40, 3
-    pair_flat = rng.normal(size=off + half_elems + units)
+    # Stacked form: two learners' blocks with their biases `row` elements
+    # apart in one buffer.
+    row_elems = 31
+    bias_rows = rng.normal(size=row_elems + 23)
+    zs0 = rng.normal(size=(2, 17, 23))
+    zs_ref = zs0.copy()
+    zs_ref[0] += bias_rows[:23]
+    zs_ref[1] += bias_rows[row_elems : row_elems + 23]
+    acts_ref = np.maximum(zs_ref, 0.0)
+    zs_c = zs0.copy()
+    acts_c = np.empty_like(zs_c)
+    kernel.bias_relu_raw(
+        2, 17, 23, zs_c.ctypes.data, bias_rows.ctypes.data, row_elems,
+        acts_c.ctypes.data,
+    )
+    if not (
+        np.array_equal(zs_ref.view(np.int64), zs_c.view(np.int64))
+        and np.array_equal(acts_ref.view(np.int64), acts_c.view(np.int64))
+    ):
+        return False
+    # Pair bias add (+ ReLU) over a (learners, 2, batch, units) stacked
+    # layer, with each learner's two bias halves `half` elements apart and
+    # the learners `row` elements apart, like the real pair parameter
+    # buffer (strided (learners, 2, 1, units) view); relu and no-relu forms.
+    units, half_elems, row_elems, off = 23, 40, 90, 3
+    pair_flat = rng.normal(size=off + row_elems + half_elems + units)
+    itemsize = pair_flat.itemsize
     pair_b = np.lib.stride_tricks.as_strided(
         pair_flat[off : off + units],
-        shape=(2, 1, units),
-        strides=(half_elems * pair_flat.itemsize, 0, pair_flat.itemsize),
+        shape=(2, 2, 1, units),
+        strides=(row_elems * itemsize, half_elems * itemsize, 0, itemsize),
     )
-    zp0 = rng.normal(size=(2, 17, units))
+    zp0 = rng.normal(size=(2, 2, 17, units))
     for relu in (True, False):
         zp_ref = zp0.copy()
         zp_ref += pair_b
         if relu:
             np.maximum(zp_ref, 0.0, out=zp_ref)
         zp_c = zp0.copy()
-        kernel.pair_bias_relu(zp_c, pair_b, relu)
+        kernel.pair_bias_relu_raw(
+            2, 17, units, zp_c.ctypes.data, pair_b.ctypes.data,
+            row_elems, half_elems, relu,
+        )
         if not np.array_equal(zp_ref.view(np.int64), zp_c.view(np.int64)):
             return False
-    # Double-DQN TD targets from the biasless final pair layer, including
-    # an exact post-bias tie (first occurrence must win), a NaN mid-row and
-    # a NaN at position 0 (NumPy argmax returns the first NaN's index).
-    actions, bq_half, bq_off = 5, 12, 2
-    bq_flat = rng.normal(size=bq_off + bq_half + actions)
+    # Double-DQN TD targets from the biasless final pair layer of two
+    # learners, including an exact post-bias tie (first occurrence must
+    # win), a NaN mid-row and a NaN at position 0 (NumPy argmax returns the
+    # first NaN's index).
+    actions, bq_half, bq_row, bq_off = 5, 12, 30, 2
+    bq_flat = rng.normal(size=bq_off + bq_row + bq_half + actions)
     bq = np.lib.stride_tricks.as_strided(
         bq_flat[bq_off : bq_off + actions],
-        shape=(2, 1, actions),
-        strides=(bq_half * bq_flat.itemsize, 0, bq_flat.itemsize),
+        shape=(2, 2, 1, actions),
+        strides=(bq_row * itemsize, bq_half * itemsize, 0, itemsize),
     )
-    zq = rng.normal(size=(2, 9, actions))
+    zq = rng.normal(size=(2, 2, 9, actions))
     bq_flat[bq_off + 1] = 0.25
     bq_flat[bq_off + 4] = 0.25
-    zq[0, 2] = 0.0
-    zq[0, 2, 1] = 3.5
-    zq[0, 2, 4] = 3.5
-    zq[0, 1, 2] = np.nan
-    zq[0, 3, 0] = np.nan
-    rewards_q = rng.normal(size=9)
+    zq[0, 0, 2] = 0.0
+    zq[0, 0, 2, 1] = 3.5
+    zq[0, 0, 2, 4] = 3.5
+    zq[0, 0, 1, 2] = np.nan
+    zq[1, 0, 3, 0] = np.nan
+    rewards_q = rng.normal(size=(2, 9))
     discount_q = 0.9
     zq_biased = zq + bq
-    best_q = np.argmax(zq_biased[0], axis=1)
-    tv = zq_biased[1][np.arange(9), best_q]
+    best_q = np.argmax(zq_biased[:, 0], axis=2)
+    tv = np.take_along_axis(zq_biased[:, 1], best_q[..., None], axis=2)[..., 0]
     out_ref = (tv * discount_q) + rewards_q
-    out_c = np.empty(9)
-    kernel.pair_q_targets(zq, bq, discount_q, rewards_q, out_c)
+    out_c = np.empty((2, 9))
+    kernel.pair_q_targets_raw(
+        2, 9, actions, zq.ctypes.data, bq.ctypes.data, bq_row, bq_half,
+        discount_q, rewards_q.ctypes.data, out_c.ctypes.data,
+    )
     if not np.array_equal(out_ref.view(np.int64), out_c.view(np.int64)):
         return False
     # Fused gather + Huber prep + gradient scatter vs. the NumPy take /
     # huber sequence / fill-and-fancy-index scatter, with errors on both
     # sides of delta.
+    delta = 1.0
     hb, ha = 13, 5
     outs = rng.normal(scale=3.0, size=(hb, ha))
     taken = rng.integers(ha, size=hb)

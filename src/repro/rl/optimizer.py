@@ -382,50 +382,31 @@ class Adam(Optimizer):
             s1 /= s2
             param[region] -= s1
 
-    def plan_step(
-        self,
-        parameters: Sequence[np.ndarray],
-        gradients: Sequence[np.ndarray],
-        regions: Sequence[Region],
-    ):
-        """Prepare a fused one-call step plan for these exact buffers.
+    def moment_regions(
+        self, parameters: Sequence[np.ndarray], regions: Sequence[Region]
+    ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+        """First and second moment views of each parameter's active region.
 
-        Returns an opaque plan for :meth:`step_planned`, or ``None`` when
-        the fused kernel is unavailable or the buffers do not qualify
-        (non-contiguous gradients, >2-D regions).  The plan captures raw
-        pointers: every array must stay alive and in place — true for the
-        flat-backed network parameters, the learner's gradient scratch and
-        the optimizer's own moments.
+        Allocates the moment store on first use.  The views stay valid for
+        the optimizer's lifetime (moments are only ever updated in place),
+        so a fused kernel may capture their addresses once — see
+        :meth:`advance`.
         """
-        kernel = fused_adam()
-        if kernel is None:
-            return None
-        if not all(g.flags.c_contiguous for g in gradients):
-            return None
         self._ensure_state(parameters)
         assert self._second_moment is not None
-        param_views = [p[r] for p, r in zip(parameters, regions)]
-        m_views = [m[r] for m, r in zip(self._first_moment, regions)]
-        v_views = [v[r] for v, r in zip(self._second_moment, regions)]
-        for view in param_views:
-            if view.ndim > 2 or view.strides[-1] != view.itemsize:
-                return None
-        return kernel.make_plan(param_views, list(gradients), m_views, v_views)
+        return (
+            [m[r] for m, r in zip(self._first_moment, regions)],
+            [v[r] for v, r in zip(self._second_moment, regions)],
+        )
 
-    def step_planned(self, plan) -> None:
-        """Execute a plan from :meth:`plan_step`: one fused C call.
-
-        Bitwise-identical to :meth:`step_sliced` on the same buffers
-        (verified at kernel load time).
-        """
-        kernel = fused_adam()
+    def advance(self) -> Tuple[float, float, float]:
+        """Count one step that a fused kernel applies to this optimizer's
+        moments; returns its ``(learning_rate, bias_correction1,
+        bias_correction2)``.  The kernel's arithmetic is bitwise-identical
+        to :meth:`step_sliced` (verified at kernel load time)."""
         self.step_count += 1
-        kernel.step_multi(
-            plan,
+        return (
             self.learning_rate,
-            self.beta1,
-            self.beta2,
-            self.epsilon,
             1.0 - self.beta1**self.step_count,
             1.0 - self.beta2**self.step_count,
         )

@@ -8,14 +8,15 @@ share the bulk of their parameters, preserving the correlation between the
 two decisions of the same frame — the core architectural idea of §4.3.4.
 
 :class:`SlimmableMLP` implements this with plain NumPy: ``forward`` takes a
-width multiplier and only uses the active slice of each hidden layer.  The
-training path uses :meth:`SlimmableMLP.backward_sliced`, which returns
-gradients *sliced to the active extents* plus the ``(in_active, out_active)``
-extents themselves, so neither the backward pass nor the optimizer ever
-allocates full-shape zero arrays or boolean masks; the optimizer updates the
-active rectangle through views (the paper: "the remaining weights are not
-updated").  The mask-based :meth:`SlimmableMLP.backward` remains as a
-compatibility wrapper that pads the sliced gradients back to full shape.
+width multiplier and only uses the active slice of each hidden layer.
+:class:`~repro.rl.dqn.DqnLearner` trains stacks of these networks with its
+own batched pass over their parameter rows; :meth:`backward_sliced` is the
+single-network form of that backward pass, returning gradients *sliced to
+the active extents* plus the ``(in_active, out_active)`` extents
+themselves, so the optimizer updates the active rectangle through views
+(the paper: "the remaining weights are not updated").  The mask-based
+:meth:`SlimmableMLP.backward` remains as a compatibility wrapper that pads
+the sliced gradients back to full shape.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.rl.fused import fused_adam, fused_fleet
+from repro.rl.fused import fused_fleet
 from repro.rl.network import he_init
 
 
@@ -100,12 +101,6 @@ class SlimmableMLP:
             w: self._compute_active_units(w) for w in self.widths
         }
         self._layer_views_cache: Dict[float, List[Tuple[np.ndarray, np.ndarray]]] = {}
-        self._backprop_scratch: Dict[Tuple[float, int], List[np.ndarray]] = {}
-        self._forward_scratch: Dict[Tuple[float, int], ForwardCache] = {}
-        # Precomputed (size, grad_addr, pre_addr) per hidden layer for the
-        # fused ReLU-mask kernel; valid only for the scratch-backed cache
-        # object stored alongside.
-        self._mask_plans: Dict[Tuple[float, int], Tuple[ForwardCache, List[Tuple[int, int, int]]]] = {}
 
     def _allocate_flat(self, layer_dims: Sequence[int]) -> None:
         """Back all parameters by one contiguous buffer.
@@ -149,11 +144,11 @@ class SlimmableMLP:
 
         Copies the current parameter values into the given contiguous buffer
         and rebuilds every view on top of it.  Used by
-        :class:`~repro.rl.dqn.DqnLearner` to co-locate the online and target
-        networks in one pair buffer, which makes zero-copy *stacked* weight
-        views across the two networks possible (both TD-bootstrap forwards
-        in one batched matmul per layer).  Any previously obtained parameter
-        views are invalidated.
+        :class:`~repro.rl.dqn.DqnLearner` to place the online and target
+        networks of every learner of a stack in the rows of one pair
+        buffer, which makes zero-copy *stacked* weight views possible (all
+        rows' online and target forwards in one batched matmul per layer).
+        Any previously obtained parameter views are invalidated.
         """
         if flat_buffer.shape != self._flat.shape:
             raise ConfigurationError(
@@ -164,9 +159,6 @@ class SlimmableMLP:
         self._flat = flat_buffer
         self._build_views()
         self._layer_views_cache = {}
-        self._backprop_scratch = {}
-        self._forward_scratch = {}
-        self._mask_plans = {}
 
     def _active_for(self, width: float) -> List[int]:
         """Cached active-unit counts for ``width``, validating on a miss.
@@ -269,53 +261,6 @@ class SlimmableMLP:
         )
         return current, cache
 
-    def _forward_train(self, x: np.ndarray, width: float) -> Tuple[np.ndarray, ForwardCache]:
-        """Trusted forward into reusable cache buffers (training hot path).
-
-        ``x`` must be a 2-D float batch.  The returned cache (and its
-        arrays) is reused by the next ``_forward_train`` call with the same
-        ``(width, batch)``, so it is only valid until then — long enough for
-        the backward pass of the same training step, which is the sole
-        intended consumer.
-        """
-        batch = x.shape[0]
-        key = (width, batch)
-        cache = self._forward_scratch.get(key)
-        views = self._views_for(width)
-        last = len(views) - 1
-        if cache is None:
-            active = self._active_for(width)
-            pre_activations = [np.empty((batch, active[i + 1])) for i in range(last + 1)]
-            activations = [
-                np.empty((batch, active[i + 1])) if i < last else pre_activations[last]
-                for i in range(last + 1)
-            ]
-            cache = ForwardCache(
-                inputs=x,
-                pre_activations=pre_activations,
-                activations=activations,
-                active_units=active,
-                width=width,
-            )
-            self._forward_scratch[key] = cache
-        cache.inputs = x
-        current = x
-        kernel = fused_fleet()
-        for layer_index, (w, b) in enumerate(views):
-            z = cache.pre_activations[layer_index]
-            np.matmul(current, w, out=z)
-            if layer_index < last:
-                if kernel is not None:
-                    current = cache.activations[layer_index]
-                    kernel.bias_relu(z, b, current)
-                else:
-                    z += b
-                    current = np.maximum(z, 0.0, out=cache.activations[layer_index])
-            else:
-                z += b
-                current = z
-        return current, cache
-
     def predict(self, inputs: np.ndarray, width: float = 1.0) -> np.ndarray:
         """Forward pass returning only the outputs.
 
@@ -378,34 +323,8 @@ class SlimmableMLP:
         extents: List[Tuple[int, int]] = [
             (active[i], active[i + 1]) for i in range(num_layers)
         ]
-        self._backprop(cache, grad, weight_grads, bias_grads, out=False)
+        self._backprop(cache, grad, weight_grads, bias_grads)
         return weight_grads, bias_grads, extents
-
-    def backward_into(
-        self,
-        cache: ForwardCache,
-        grad_outputs: np.ndarray,
-        weight_grads: List[np.ndarray],
-        bias_grads: List[np.ndarray],
-    ) -> None:
-        """Like :meth:`backward_sliced`, but writing into caller buffers.
-
-        ``weight_grads[i]`` / ``bias_grads[i]`` must be preallocated arrays
-        of the active-extent shapes for ``cache.width`` (typically views
-        into one flat gradient buffer, see
-        :meth:`~repro.rl.dqn.DqnLearner.train_batch`); the matmuls and
-        reductions write straight into them, so the backward pass allocates
-        nothing but the small per-layer propagated-gradient temporaries.
-        """
-        grad = grad_outputs
-        if grad.__class__ is not np.ndarray or grad.ndim != 2:
-            grad = np.atleast_2d(np.asarray(grad, dtype=float))
-        if grad.shape != cache.activations[-1].shape:
-            raise ConfigurationError(
-                f"grad_outputs shape {grad.shape} does not match network output "
-                f"shape {cache.activations[-1].shape}"
-            )
-        self._backprop(cache, grad, weight_grads, bias_grads, out=True)
 
     def _backprop(
         self,
@@ -413,72 +332,23 @@ class SlimmableMLP:
         grad: np.ndarray,
         weight_grads: List[np.ndarray],
         bias_grads: List[np.ndarray],
-        out: bool,
     ) -> None:
         views = self._views_for(cache.width)
         num_layers = len(views)
-        propagate_scratch: List[np.ndarray] | None = None
-        kernel = None
-        mask_addrs: List[Tuple[int, int, int]] | None = None
-        if out:
-            batch = grad.shape[0]
-            key = (cache.width, batch)
-            propagate_scratch = self._backprop_scratch.get(key)
-            if propagate_scratch is None:
-                active = cache.active_units
-                propagate_scratch = [
-                    np.empty((batch, active[i])) for i in range(1, num_layers)
-                ]
-                self._backprop_scratch[key] = propagate_scratch
-            kernel = fused_adam()
-            if kernel is not None:
-                # For the reused training cache, the mask operands are the
-                # same buffers every call — precompute their addresses.
-                plan = self._mask_plans.get(key)
-                if plan is None or plan[0] is not cache:
-                    if cache is self._forward_scratch.get(key):
-                        addrs = [
-                            (
-                                propagate_scratch[i].size,
-                                propagate_scratch[i].ctypes.data,
-                                cache.pre_activations[i].ctypes.data,
-                            )
-                            for i in range(num_layers - 1)
-                        ]
-                        self._mask_plans[key] = (cache, addrs)
-                        mask_addrs = addrs
-                else:
-                    mask_addrs = plan[1]
         for layer_index in range(num_layers - 1, -1, -1):
             if layer_index < num_layers - 1:
-                # ``grad`` is a scratch/fresh array here (written by the
-                # matmul of the previous iteration), so the in-place multiply
-                # never touches the caller's ``grad_outputs``.  Multiplying
-                # by the boolean mask directly (True -> 1.0, False -> 0.0)
-                # equals multiplying by relu_grad without materialising the
-                # float mask; the C kernel applies the identical multiply.
-                if mask_addrs is not None:
-                    kernel.relu_mask_raw(*mask_addrs[layer_index])
-                elif kernel is not None:
-                    kernel.relu_mask(grad, cache.pre_activations[layer_index])
-                else:
-                    grad *= cache.pre_activations[layer_index] > 0.0
+                # ``grad`` is a fresh array here (the matmul of the previous
+                # iteration), so the in-place multiply never touches the
+                # caller's ``grad_outputs``; multiplying by the boolean mask
+                # equals multiplying by relu_grad.
+                grad *= cache.pre_activations[layer_index] > 0.0
             upstream = (
                 cache.inputs if layer_index == 0 else cache.activations[layer_index - 1]
             )
-            if out:
-                np.matmul(upstream.T, grad, out=weight_grads[layer_index])
-                np.add.reduce(grad, axis=0, out=bias_grads[layer_index])
-            else:
-                weight_grads[layer_index] = upstream.T @ grad
-                bias_grads[layer_index] = np.sum(grad, axis=0)
+            weight_grads[layer_index] = upstream.T @ grad
+            bias_grads[layer_index] = np.sum(grad, axis=0)
             if layer_index > 0:
-                if propagate_scratch is not None:
-                    next_grad = propagate_scratch[layer_index - 1]
-                    np.matmul(grad, views[layer_index][0].T, out=next_grad)
-                    grad = next_grad
-                else:
-                    grad = grad @ views[layer_index][0].T
+                grad = grad @ views[layer_index][0].T
 
     def backward(
         self, cache: ForwardCache, grad_outputs: np.ndarray
@@ -551,9 +421,6 @@ class SlimmableMLP:
             w: list(units) for w, units in self._active_units_cache.items()
         }
         copy._layer_views_cache = {}
-        copy._backprop_scratch = {}
-        copy._forward_scratch = {}
-        copy._mask_plans = {}
         return copy
 
     @property

@@ -22,8 +22,12 @@ Methods map onto fleet policies as follows:
   once, rebuilt as one inference-only instance per session, and adapted
   through :class:`repro.env.fleet.PerSessionPolicies` — bit-identical to
   the scalar frozen run of each session's seed.
-* anything else (``lotus``, ``ztt``, the ablations) — per-session scalar
-  policies adapted through
+* ``lotus``, ``ztt`` and the Lotus ablations — one scalar agent per
+  session, driven as :class:`repro.core.stacked.StackedAgents`: the
+  member's learners form one stacked
+  :class:`~repro.rl.dqn.DqnLearner`, so every session that trains at a
+  decision point is updated in one call, with exact scalar behaviour.
+* anything else — per-session scalar policies adapted through
   :class:`repro.env.fleet.PerSessionPolicies`, preserving exact scalar
   behaviour while still running on the vectorized environment.
 
@@ -49,6 +53,7 @@ import numpy as np
 
 from repro.errors import ExperimentError, ScenarioError
 from repro.core.fleet import FleetLotusAgent
+from repro.core.stacked import DqnAgent, StackedAgents
 from repro.core.training import SessionResult, session_result_from_trace
 from repro.detection.fleet import proposal_scale
 from repro.detection.registry import build_detector
@@ -59,6 +64,7 @@ from repro.env.fleet import (
     FleetSessionGroup,
     FleetTrace,
     PerSessionPolicies,
+    SessionPolicies,
     run_fleet_episode,
     run_grouped_fleet_episode,
 )
@@ -241,13 +247,15 @@ def make_member_policy(
             instance.validate_environment(environment)
             frozen.append(instance)
         return PerSessionPolicies(frozen)
-    # Fall back to exact per-session scalar policies (lotus, ztt, ablations,
-    # and any future registered method): make_policy only inspects the
-    # device, detector and throttle threshold, which the fleet environment
-    # exposes with the same attribute names.
+    # Exact per-session scalar policies (lotus, ztt, ablations, and any
+    # future registered method): make_policy only inspects the device,
+    # detector and throttle threshold, which the fleet environment exposes
+    # with the same attribute names.  DQN agents train as one stack.
     policies = [
         make_policy(method, environment, num_frames, seed=seed) for seed in seeds
     ]
+    if all(isinstance(policy, DqnAgent) for policy in policies):
+        return StackedAgents(policies)
     return PerSessionPolicies(policies)
 
 
@@ -308,7 +316,7 @@ def _session_histories(
     """
     if isinstance(policy, FaultedFleetPolicy):
         return _session_histories(policy.inner, num_sessions)
-    if isinstance(policy, PerSessionPolicies):
+    if isinstance(policy, SessionPolicies):
         return policy.loss_histories(), policy.reward_histories()
     if isinstance(policy, SubFleetPolicies):
         losses: List[List[float]] = [[] for _ in range(num_sessions)]

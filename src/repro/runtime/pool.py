@@ -348,7 +348,8 @@ def _execute_task(
     if kind == "supervised-shard":
         # Supervised shards own their lifecycle (checkpoint spool, crash
         # markers, resume-from-checkpoint); they always rebuild so that a
-        # respawned worker replays exactly the PR 7 recovery path.
+        # respawned worker replays exactly the crash-recovery path.
+        meta["built"] = True
         return shard_mod._run_supervised_shard(*args), meta
     if kind == "job":
         from repro.runtime.engine import execute_job
@@ -753,14 +754,13 @@ class FleetWorkerPool:
                 self.lifetime_shm_bytes += nbytes
                 report.results[position] = result
                 fingerprint = tasks[position].fingerprint
+                labels = {} if fingerprint is None else {"fingerprint": fingerprint[:12]}
                 if meta.get("warm"):
                     report.warm_hits += 1
-                    if fingerprint is not None:
-                        _obs.inc("pool.warm_hits", fingerprint=fingerprint[:12])
+                    _obs.inc("pool.warm_hits", **labels)
                 if meta.get("built"):
                     report.rebuilds += 1
-                    if fingerprint is not None:
-                        _obs.inc("pool.rebuilds", fingerprint=fingerprint[:12])
+                    _obs.inc("pool.rebuilds", **labels)
                 if nbytes:
                     _obs.inc("pool.shm_bytes", nbytes)
                     _obs.inc("pool.shm_blocks", blocks)

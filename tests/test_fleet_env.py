@@ -8,6 +8,7 @@ import pytest
 from repro.errors import DeviceError, ExperimentError
 from repro.analysis.experiments import ExperimentSetting
 from repro.core.fleet import FleetLotusAgent
+from repro.core.stacked import StackedAgents
 from repro.detection.registry import build_detector
 from repro.env.fleet import (
     BatchedInferenceEnvironment,
@@ -187,8 +188,9 @@ def test_make_fleet_policy_maps_methods():
     assert isinstance(make_fleet_policy("fixed", env, 10), BatchedUserspacePolicy)
     assert isinstance(make_fleet_policy("lotus-fleet", env, 10), FleetLotusAgent)
     adapted = make_fleet_policy("ztt", env, 10)
-    assert isinstance(adapted, PerSessionPolicies)
+    assert isinstance(adapted, StackedAgents)
     assert len(adapted.policies) == 3
+    assert adapted.learner.num_rows == 3
     with pytest.raises(ExperimentError):
         make_fleet_policy("nonsense", env, 10)
 

@@ -189,6 +189,35 @@ class TestCrashRecoveryOnPool:
 
 
 class TestPoolProtocol:
+    def test_supervised_shards_count_as_rebuilds(self):
+        """Supervised shards always rebuild, and carry no warm fingerprint:
+        the run report, the lifetime stats and the obs counter (unlabelled)
+        must all count them, or the pool's warm-hit ratio reads as if no
+        shard had run."""
+        from repro.obs import bus
+
+        registry = bus.enable()
+        try:
+            result = run_supervised_scenario(
+                build_scenario("cctv-burst"),
+                SHARDS,
+                num_sessions=SESSIONS,
+                num_frames=6,
+                checkpoint_every=3,
+            )
+        finally:
+            bus.disable()
+        assert len(result.shards) == SHARDS
+        assert shared_pool().stats["rebuilds"] == SHARDS
+        assert shared_pool().stats["warm_hits"] == 0
+        reported = sum(
+            value
+            for (name, _), value in registry.gauges.items()
+            if name == "pool.report.rebuilds"
+        )
+        assert reported == SHARDS
+        assert registry.counters[("pool.rebuilds", ())] == SHARDS
+
     def test_worker_count_clamps_to_cpu(self):
         pool = FleetWorkerPool(max_workers=4096)
         try:

@@ -181,3 +181,28 @@ def test_empty_batch_rejected():
     learner = make_learner()
     with pytest.raises(AgentError):
         learner.train_batch([], width=1.0)
+
+
+def test_clip_screen_matches_exact_norm_clipping_at_the_limit():
+    """Rows just under and just over ``max_grad_norm`` clip exactly as the
+    plain ``np.dot`` norm decides, at the Lotus flat-gradient size."""
+    limit = 5.0
+    learner = make_learner(max_grad_norm=limit)
+    rng = np.random.default_rng(21)
+    factors = (0.3, 1.0 - 2e-9, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.0 + 2e-9, 3.0)
+    grads = np.empty((len(factors), 12_018))
+    for row, factor in zip(grads, factors):
+        row[...] = rng.normal(size=row.size)
+        row *= limit * factor / np.sqrt(np.dot(row, row))
+    expected = grads.copy()
+    clipped = []
+    for row in expected:
+        total = float(np.sqrt(np.dot(row, row)))
+        clipped.append(total > limit)
+        if total > limit and total > 0:
+            row *= limit / total
+    # The probe really straddles the limit.
+    assert clipped[0] is False and clipped[1] is False and clipped[-1] is True
+    assert True in clipped[2:6] and False in clipped[2:6]
+    learner._clip(grads)
+    assert np.array_equal(grads, expected)

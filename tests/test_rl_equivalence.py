@@ -238,7 +238,7 @@ def test_clipped_updates_match_seed_within_float_tolerance():
     """When the global-norm clip actually fires, the norm is accumulated in
     a different (mathematically equal) order than the seed code, so the
     guarantee weakens from bit-exact to ~1e-12 relative (see
-    ``DqnLearner._clip_flat``).  Force clipping with a tiny max_grad_norm
+    ``DqnLearner._clip``).  Force clipping with a tiny max_grad_norm
     and check the paths still track each other tightly."""
     config = DqnConfig(batch_size=16, max_grad_norm=0.001)
     current = DqnLearner(
