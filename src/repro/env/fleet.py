@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 import numpy as np
 
@@ -53,7 +52,14 @@ from repro.env.environment import (
     StreamLike,
 )
 from repro.env.policy import Policy
-from repro.env.trace import FrameRecord, Trace
+from repro.env.trace import (
+    COLUMN_DTYPES,
+    DATASET_CODE_COLUMN,
+    FIELD_DTYPES,
+    FrameRecord,
+    Trace,
+    TraceBlock,
+)
 from repro.hardware.device import EdgeDevice
 from repro.hardware.fleet import DeviceFleet
 
@@ -358,19 +364,149 @@ class FleetFrameResult:
         return FrameResult(record=self.record(i))
 
 
-class FleetTrace:
-    """Columnar trace of a fleet episode: one FleetFrameResult per frame."""
+class ColumnWindowTrace:
+    """Frame access shared by the in-memory and the memory-mapped fleet trace.
 
-    #: Bound on the :meth:`session_trace` memo so fleet-wide sweeps over a
-    #: large trace don't keep every materialised scalar trace alive.
-    _SESSION_CACHE_LIMIT = 64
+    Subclasses hold ``(frames, N)`` columns and provide ``num_sessions``,
+    ``__len__``, ``start_index``, ``dataset_table`` and
+    ``column_window(name, start, stop)``; frames read back are row views.
+    """
+
+    num_sessions: int
+    #: ``(sessions, frames)`` copy of the columns behind the session traces.
+    _block: TraceBlock | None = None
+
+    def session_trace(self, i: int) -> Trace:
+        """Session ``i``'s scalar :class:`Trace`, a row of the trace's block.
+
+        The first call copies the columns once into a ``(sessions,
+        frames)`` :class:`~repro.env.trace.TraceBlock` (an in-memory trace
+        drops it on append); every session trace is a row of it.
+        """
+        if not 0 <= i < self.num_sessions:
+            raise ExperimentError(f"session {i} out of range [0, {self.num_sessions - 1}]")
+        if self._block is None:
+            self._block = TraceBlock(
+                {name: self.column_window(name).T for name in COLUMN_DTYPES},
+                self.dataset_table,
+                np.arange(self.start_index, self.start_index + len(self)),
+            )
+        return Trace.of_row(self._block, i)
+
+    @property
+    def total_frames(self) -> int:
+        """Aggregate frames processed across the fleet (frames x sessions)."""
+        return len(self) * self.num_sessions
+
+    def datasets_window(self, start: int = 0, stop: int | None = None) -> List[tuple]:
+        """Per-frame dataset-name tuples for frames ``[start, stop)``."""
+        table = self.dataset_table
+        codes = self.column_window(DATASET_CODE_COLUMN, start, stop).tolist()
+        return [tuple(table[code] for code in frame) for frame in codes]
+
+    def __getitem__(self, frame: int) -> FleetFrameResult:
+        if frame < 0:
+            frame += len(self)
+        if not 0 <= frame < len(self):
+            raise IndexError(f"frame offset {frame} out of range [0, {len(self)})")
+        return FleetFrameResult(
+            index=self.start_index + frame,
+            datasets=self.datasets_window(frame, frame + 1)[0],
+            **{
+                name: self.column_window(name, frame, frame + 1)[0]
+                for name in FIELD_DTYPES
+            },
+        )
+
+    def __iter__(self) -> Iterator[FleetFrameResult]:
+        for frame in range(len(self)):
+            yield self[frame]
+
+    def latencies_ms(self) -> np.ndarray:
+        """Total latency as a ``(frames, sessions)`` matrix."""
+        return np.array(self.column_window("total_latency_ms"))
+
+    def constraint_met(self) -> np.ndarray:
+        """Constraint satisfaction as a ``(frames, sessions)`` boolean matrix."""
+        return np.array(self.column_window("met_constraint"))
+
+
+class FleetTrace(ColumnWindowTrace):
+    """Columnar trace of a fleet episode: one ``(frames, N)`` array per column.
+
+    The columns are the ``repro-store/v1`` layout
+    (:data:`~repro.env.trace.COLUMN_DTYPES`): every record field plus the
+    ``int32`` dataset codes into :attr:`dataset_table`.  :meth:`reserve`
+    preallocates rows when the episode length is known; otherwise appends
+    grow the arrays geometrically.  Frames read back are row views.
+    """
 
     def __init__(self, num_sessions: int):
         if num_sessions <= 0:
             raise ExperimentError("num_sessions must be positive")
         self.num_sessions = num_sessions
-        self._frames: List[FleetFrameResult] = []
-        self._session_cache: "OrderedDict[int, Trace]" = OrderedDict()
+        self._length = 0
+        self._start = 0
+        self._columns: Dict[str, np.ndarray] = {
+            name: np.empty((0, num_sessions), dtype=dtype)
+            for name, dtype in COLUMN_DTYPES.items()
+        }
+        #: Dataset name -> code; the keys, in order, are the dataset table.
+        self._codes: Dict[str, int] = {}
+        #: Last dataset tuple encoded per writer slot, with its codes.
+        self._encoded: Dict[int, tuple] = {}
+        self._block: TraceBlock | None = None
+
+    #: Bound on the class itself, not only inherited, so tools that patch
+    #: ``FleetTrace`` attributes (``perfbench/tracing.py``) see every call.
+    session_trace = ColumnWindowTrace.session_trace
+
+    @classmethod
+    def from_columns(
+        cls,
+        columns: Dict[str, np.ndarray],
+        dataset_table: Sequence[str],
+        start_index: int = 0,
+    ) -> "FleetTrace":
+        """A trace over ``(frames, N)`` columns, dataset codes included."""
+        trace = cls(columns[DATASET_CODE_COLUMN].shape[1])
+        trace._columns = {
+            name: np.ascontiguousarray(columns[name], dtype=dtype)
+            for name, dtype in COLUMN_DTYPES.items()
+        }
+        trace._length = len(trace._columns[DATASET_CODE_COLUMN])
+        trace._start = int(start_index)
+        trace._codes = {name: code for code, name in enumerate(dataset_table)}
+        return trace
+
+    def __getstate__(self) -> dict:
+        # The recorded frames only: no spare rows, no session block.
+        state = dict(self.__dict__, _block=None, _encoded={})
+        state["_columns"] = {name: self.column_window(name) for name in COLUMN_DTYPES}
+        return state
+
+    # -- writing -------------------------------------------------------------
+
+    def reserve(self, frames: int) -> None:
+        """Preallocate room for ``frames`` more frames."""
+        capacity = self._length + frames
+        if capacity <= len(self._columns[DATASET_CODE_COLUMN]):
+            return
+        for name, column in self._columns.items():
+            grown = np.empty((capacity, self.num_sessions), dtype=column.dtype)
+            grown[: self._length] = column[: self._length]
+            self._columns[name] = grown
+
+    def _encode(self, datasets: tuple, slot: int) -> np.ndarray:
+        last = self._encoded.get(slot)
+        if last is not None and (last[0] is datasets or last[0] == datasets):
+            return last[1]
+        codes = self._codes
+        encoded = np.array(
+            [codes.setdefault(name, len(codes)) for name in datasets], dtype=np.int32
+        )
+        self._encoded[slot] = (datasets, encoded)
+        return encoded
 
     def append(self, frame: FleetFrameResult) -> None:
         """Append one completed fleet frame."""
@@ -379,66 +515,60 @@ class FleetTrace:
                 f"frame has {frame.num_sessions} sessions, trace expects "
                 f"{self.num_sessions}"
             )
-        self._frames.append(frame)
-        if self._session_cache:
-            self._session_cache.clear()
+        self.append_groups([frame], [slice(None)])
+
+    def append_groups(
+        self, results: Sequence[FleetFrameResult], targets: Sequence[np.ndarray]
+    ) -> None:
+        """Append one frame assembled from per-group results.
+
+        Element ``j`` of ``results[g]`` is session ``targets[g][j]``.
+        """
+        index = results[0].index
+        if self._length and index != self._start + self._length:
+            raise ExperimentError(
+                f"non-contiguous frame index {index} "
+                f"(expected {self._start + self._length})"
+            )
+        if self._length == len(self._columns[DATASET_CODE_COLUMN]):
+            self.reserve(max(self._length, 16))
+        frame = {name: column[self._length] for name, column in self._columns.items()}
+        for slot, (result, target) in enumerate(zip(results, targets)):
+            if result.index != index:
+                raise ExperimentError(
+                    f"group frame indices diverged ({result.index} != {index})"
+                )
+            for name in FIELD_DTYPES:
+                frame[name][target] = getattr(result, name)
+            frame[DATASET_CODE_COLUMN][target] = self._encode(result.datasets, slot)
+        if not self._length:
+            self._start = int(index)
+        self._length += 1
+        self._block = None
+
+    # -- reading -------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._frames)
-
-    def __iter__(self) -> Iterator[FleetFrameResult]:
-        return iter(self._frames)
-
-    def __getitem__(self, index: int) -> FleetFrameResult:
-        return self._frames[index]
-
-    @property
-    def total_frames(self) -> int:
-        """Aggregate frames processed across the fleet (frames x sessions)."""
-        return len(self._frames) * self.num_sessions
+        return self._length
 
     @property
     def start_index(self) -> int:
         """Global index of the first frame (0 for an empty trace)."""
-        return self._frames[0].index if self._frames else 0
+        return self._start
 
-    def session_trace(self, i: int) -> Trace:
-        """Materialise session ``i``'s scalar :class:`Trace`.
-
-        Results are memoized in a bounded FIFO (invalidated on append), so
-        harnesses that revisit the same sessions — metric summaries followed
-        by equivalence sweeps — build each session's ``FrameRecord`` objects
-        once instead of once per call.
-        """
-        if not 0 <= i < self.num_sessions:
-            raise ExperimentError(f"session {i} out of range [0, {self.num_sessions - 1}]")
-        cached = self._session_cache.get(i)
-        if cached is not None:
-            return cached
-        trace = Trace([frame.record(i) for frame in self._frames])
-        self._session_cache[i] = trace
-        while len(self._session_cache) > self._SESSION_CACHE_LIMIT:
-            self._session_cache.popitem(last=False)
-        return trace
-
-    def to_traces(self) -> List[Trace]:
-        """Materialise every session's scalar trace."""
-        return [self.session_trace(i) for i in range(self.num_sessions)]
+    @property
+    def dataset_table(self) -> tuple:
+        """Dataset names indexed by the dataset-code column."""
+        return tuple(self._codes)
 
     def column_window(self, name: str, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Frames ``[start, stop)`` of one column as a ``(frames, N)`` array.
+        """Frames ``[start, stop)`` of one column as a ``(frames, N)`` view.
 
         The in-memory counterpart of
         :meth:`repro.store.MappedFleetTrace.column_window`, so streaming
         consumers can treat both trace representations uniformly.
         """
-        frames = self._frames[start:stop]
-        if not frames:
-            dtype = (
-                getattr(self._frames[0], name).dtype if self._frames else np.float64
-            )
-            return np.empty((0, self.num_sessions), dtype=dtype)
-        return np.stack([getattr(frame, name) for frame in frames])
+        return self._columns[name][: self._length][start:stop]
 
     def iter_column_chunks(
         self, name: str, start: int = 0, stop: int | None = None
@@ -449,23 +579,12 @@ class FleetTrace:
         in-memory trace serves one bounded block at a time too, so streaming
         aggregation code paths are identical for both representations.
         """
-        stop = len(self._frames) if stop is None else min(stop, len(self._frames))
+        stop = self._length if stop is None else min(stop, self._length)
         chunk = 256
         for lo in range(start, stop, chunk):
             hi = min(lo + chunk, stop)
             yield lo, self.column_window(name, lo, hi)
 
-    def datasets_window(self, start: int = 0, stop: int | None = None) -> List[tuple]:
-        """Per-frame dataset-name tuples for frames ``[start, stop)``."""
-        return [frame.datasets for frame in self._frames[start:stop]]
-
-    def latencies_ms(self) -> np.ndarray:
-        """Total latency as a ``(frames, sessions)`` matrix."""
-        return np.array([f.total_latency_ms for f in self._frames], dtype=float)
-
-    def constraint_met(self) -> np.ndarray:
-        """Constraint satisfaction as a ``(frames, sessions)`` boolean matrix."""
-        return np.array([f.met_constraint for f in self._frames], dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -1071,7 +1190,11 @@ def run_fleet_episode(
         environment.reset()
     if reset_policy:
         policy.reset()
-    trace = FleetTrace(environment.num_sessions) if sink is None else sink
+    if sink is None:
+        trace = FleetTrace(environment.num_sessions)
+        trace.reserve(num_frames)
+    else:
+        trace = sink
     for _ in range(num_frames):
         start_observation = environment.begin_frame()
         environment.apply_decision(policy.begin_frame(start_observation))
@@ -1119,24 +1242,7 @@ class FleetSessionGroup:
             )
 
 
-_FRAME_RESULT_ARRAY_FIELDS = (
-    "num_proposals",
-    "stage1_latency_ms",
-    "stage2_latency_ms",
-    "total_latency_ms",
-    "latency_constraint_ms",
-    "met_constraint",
-    "cpu_temperature_c",
-    "gpu_temperature_c",
-    "cpu_level_stage1",
-    "gpu_level_stage1",
-    "cpu_level_stage2",
-    "gpu_level_stage2",
-    "cpu_throttled",
-    "gpu_throttled",
-    "ambient_temperature_c",
-    "energy_j",
-)
+_FRAME_RESULT_ARRAY_FIELDS = tuple(FIELD_DTYPES)
 
 
 def validate_session_partition(
@@ -1147,7 +1253,7 @@ def validate_session_partition(
     """Check that the index groups partition ``0..N-1``; return int arrays.
 
     The single definition of the partition invariant shared by the grouped
-    episode loop, :func:`interleave_frame_results` and the sub-fleet policy
+    episode loop, the shard merge and the sub-fleet policy
     combinator (:class:`repro.governors.fleet.SubFleetPolicies`): indices in
     range, disjoint across groups, and together covering every session.
     """
@@ -1171,52 +1277,20 @@ def validate_session_partition(
     return targets
 
 
-def _scatter_frame_results(
-    results: Sequence[FleetFrameResult],
-    targets: Sequence[np.ndarray],
-    num_sessions: int,
-) -> FleetFrameResult:
-    """Scatter pre-validated per-group results into one combined frame."""
-    index = results[0].index
-    arrays: dict[str, np.ndarray] = {}
-    datasets: List[str] = [""] * num_sessions
-    for field in _FRAME_RESULT_ARRAY_FIELDS:
-        arrays[field] = np.empty(num_sessions, dtype=getattr(results[0], field).dtype)
-    for result, target in zip(results, targets):
-        if result.index != index:
-            raise ExperimentError(
-                f"group frame indices diverged ({result.index} != {index})"
-            )
-        for field in _FRAME_RESULT_ARRAY_FIELDS:
-            arrays[field][target] = getattr(result, field)
-        for local, global_index in enumerate(target.tolist()):
-            datasets[global_index] = result.datasets[local]
-    return FleetFrameResult(index=index, datasets=tuple(datasets), **arrays)
-
-
-def interleave_frame_results(
-    results: Sequence[FleetFrameResult],
-    session_indices: Sequence[Sequence[int]],
-    num_sessions: int,
-) -> FleetFrameResult:
-    """Scatter per-group frame results back into one combined fleet frame.
-
-    The inverse of the partitioning that built the groups: array element
-    ``session_indices[g][j]`` of the combined result is element ``j`` of
-    group ``g``'s result, so the combined :class:`FleetFrameResult` is
-    ordered by global session index regardless of how sessions were grouped.
-    The episode loop validates the (fixed) partition once and scatters per
-    frame; this entry point validates on every call.
-    """
-    if not results:
-        raise ExperimentError("need at least one group result")
-    if len(results) != len(session_indices):
-        raise ExperimentError(
-            f"got {len(results)} group results for {len(session_indices)} "
-            f"index groups"
-        )
-    targets = validate_session_partition(session_indices, num_sessions)
-    return _scatter_frame_results(results, targets, num_sessions)
+def advance_groups(groups: Sequence[FleetSessionGroup]) -> List[FleetFrameResult]:
+    """Advance every group one frame, phase by phase; return their results."""
+    for group in groups:
+        observation = group.environment.begin_frame()
+        group.environment.apply_decision(group.policy.begin_frame(observation))
+    for group in groups:
+        observation = group.environment.run_first_stage()
+        group.environment.apply_decision(group.policy.mid_frame(observation))
+    results = []
+    for group in groups:
+        result = group.environment.run_second_stage()
+        group.policy.end_frame(result)
+        results.append(result)
+    return results
 
 
 def run_grouped_fleet_episode(
@@ -1260,18 +1334,18 @@ def run_grouped_fleet_episode(
             group.environment.reset()
         if reset_policies:
             group.policy.reset()
-    trace = FleetTrace(num_sessions) if sink is None else sink
+    if sink is None:
+        trace = FleetTrace(num_sessions)
+        trace.reserve(num_frames)
     for _ in range(num_frames):
-        for group in groups:
-            observation = group.environment.begin_frame()
-            group.environment.apply_decision(group.policy.begin_frame(observation))
-        for group in groups:
-            observation = group.environment.run_first_stage()
-            group.environment.apply_decision(group.policy.mid_frame(observation))
-        results = []
-        for group in groups:
-            result = group.environment.run_second_stage()
-            group.policy.end_frame(result)
-            results.append(result)
-        trace.append(_scatter_frame_results(results, targets, num_sessions))
-    return trace
+        results = advance_groups(groups)
+        if sink is None:
+            trace.append_groups(results, targets)
+        else:
+            # A sink keeps the frames it is handed, so each frame gets
+            # arrays of its own.
+            frame = FleetTrace(num_sessions)
+            frame.reserve(1)
+            frame.append_groups(results, targets)
+            sink.append(frame[0])
+    return trace if sink is None else sink

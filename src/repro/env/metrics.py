@@ -10,6 +10,7 @@ these plus the thermal and energy metrics used in the discussion sections.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Mapping
 
 import numpy as np
 
@@ -65,37 +66,65 @@ class EpisodeMetrics:
         return self.mean_stage1_latency_ms / total
 
 
+def summarize_rows(columns: Mapping[str, np.ndarray]) -> List[EpisodeMetrics]:
+    """Compute :class:`EpisodeMetrics` for every row of ``(rows, frames)`` columns.
+
+    One NumPy reduction per metric along the frame axis; row ``r`` equals
+    the summary of a trace holding row ``r`` alone, bit for bit.
+
+    Raises:
+        ExperimentError: If there are no frames.
+    """
+    latencies = columns["total_latency_ms"]
+    if latencies.shape[-1] == 0:
+        raise ExperimentError("cannot summarise an empty trace")
+    stage2 = columns["stage2_latency_ms"]
+    mean_temps = 0.5 * (columns["cpu_temperature_c"] + columns["gpu_temperature_c"])
+    throttled = columns["cpu_throttled"] | columns["gpu_throttled"]
+    values = {
+        "mean_latency_ms": np.mean(latencies, axis=-1),
+        "latency_std_ms": np.std(latencies, axis=-1),
+        "min_latency_ms": np.min(latencies, axis=-1),
+        "max_latency_ms": np.max(latencies, axis=-1),
+        "p95_latency_ms": np.percentile(latencies, 95, axis=-1),
+        "satisfaction_rate": np.mean(columns["met_constraint"], axis=-1),
+        "mean_stage1_latency_ms": np.mean(columns["stage1_latency_ms"], axis=-1),
+        "mean_stage2_latency_ms": np.mean(stage2, axis=-1),
+        "stage2_latency_std_ms": np.std(stage2, axis=-1),
+        "mean_temperature_c": np.mean(mean_temps, axis=-1),
+        "max_temperature_c": np.max(mean_temps, axis=-1),
+        "max_cpu_temperature_c": np.max(columns["cpu_temperature_c"], axis=-1),
+        "max_gpu_temperature_c": np.max(columns["gpu_temperature_c"], axis=-1),
+        "throttled_fraction": np.mean(throttled, axis=-1),
+        "total_energy_j": np.sum(columns["energy_j"], axis=-1),
+        "mean_proposals": np.mean(columns["num_proposals"], axis=-1),
+    }
+    num_frames = latencies.shape[-1]
+    return [
+        EpisodeMetrics(num_frames=num_frames, **dict(zip(values, row)))
+        for row in zip(*(value.tolist() for value in values.values()))
+    ]
+
+
 def summarize_trace(trace: Trace) -> EpisodeMetrics:
     """Compute :class:`EpisodeMetrics` for a trace.
+
+    A trace is a row of a :class:`~repro.env.trace.TraceBlock` (a
+    standalone trace owns a one-row block).  The whole block is summarised
+    once per starting frame and memoised on it, and the trace reads its
+    row, so the sessions of a fleet are summarised in one pass.
 
     Raises:
         ExperimentError: If the trace is empty.
     """
     if len(trace) == 0:
         raise ExperimentError("cannot summarise an empty trace")
-    latencies = trace.latencies_ms()
-    stage1 = trace.stage1_latencies_ms()
-    stage2 = trace.stage2_latencies_ms()
-    mean_temps = trace.mean_temperatures_c()
-    return EpisodeMetrics(
-        num_frames=len(trace),
-        mean_latency_ms=float(np.mean(latencies)),
-        latency_std_ms=float(np.std(latencies)),
-        min_latency_ms=float(np.min(latencies)),
-        max_latency_ms=float(np.max(latencies)),
-        p95_latency_ms=float(np.percentile(latencies, 95)),
-        satisfaction_rate=float(np.mean(trace.constraint_met())),
-        mean_stage1_latency_ms=float(np.mean(stage1)),
-        mean_stage2_latency_ms=float(np.mean(stage2)),
-        stage2_latency_std_ms=float(np.std(stage2)),
-        mean_temperature_c=float(np.mean(mean_temps)),
-        max_temperature_c=float(np.max(mean_temps)),
-        max_cpu_temperature_c=float(np.max(trace.cpu_temperatures_c())),
-        max_gpu_temperature_c=float(np.max(trace.gpu_temperatures_c())),
-        throttled_fraction=float(np.mean(trace.throttled())),
-        total_energy_j=float(np.sum(trace.energies_j())),
-        mean_proposals=float(np.mean(trace.proposals())),
-    )
+    block, row, first = trace.block_origin
+    if first not in block.memo:
+        block.memo[first] = summarize_rows(
+            {name: column[:, first:] for name, column in block.columns.items()}
+        )
+    return block.memo[first][row]
 
 
 def downsample_series(values: np.ndarray, max_points: int = 100) -> np.ndarray:

@@ -84,36 +84,21 @@ def _synthetic_trace(num_sessions: int, num_frames: int, seed: int = 0,
     benchmarks move byte-for-byte realistic payloads without paying for a
     simulation.
     """
-    from repro.env.fleet import FleetFrameResult, FleetTrace
+    from repro.env.fleet import FleetTrace
+    from repro.env.trace import COLUMN_DTYPES
 
     rng = np.random.default_rng(seed)
-    datasets = ("kitti",) * num_sessions
-    trace = FleetTrace(num_sessions)
-    for frame in range(num_frames):
-        shape = (num_sessions,)
-        trace.append(
-            FleetFrameResult(
-                index=start_index + frame,
-                datasets=datasets,
-                num_proposals=rng.integers(1, 300, shape, dtype=np.int64),
-                stage1_latency_ms=rng.random(shape) * 40.0,
-                stage2_latency_ms=rng.random(shape) * 60.0,
-                total_latency_ms=rng.random(shape) * 100.0,
-                latency_constraint_ms=np.full(shape, 100.0),
-                met_constraint=rng.random(shape) < 0.9,
-                cpu_temperature_c=40.0 + rng.random(shape) * 30.0,
-                gpu_temperature_c=40.0 + rng.random(shape) * 35.0,
-                cpu_level_stage1=rng.integers(0, 8, shape, dtype=np.int64),
-                gpu_level_stage1=rng.integers(0, 8, shape, dtype=np.int64),
-                cpu_level_stage2=rng.integers(0, 8, shape, dtype=np.int64),
-                gpu_level_stage2=rng.integers(0, 8, shape, dtype=np.int64),
-                cpu_throttled=rng.random(shape) < 0.05,
-                gpu_throttled=rng.random(shape) < 0.05,
-                ambient_temperature_c=np.full(shape, 25.0),
-                energy_j=rng.random(shape) * 2.0,
-            )
-        )
-    return trace
+    shape = (num_frames, num_sessions)
+    columns = {}
+    for name, dtype in COLUMN_DTYPES.items():
+        if dtype == np.bool_:
+            columns[name] = rng.random(shape) < 0.9
+        elif dtype == np.float64:
+            columns[name] = rng.random(shape) * 100.0
+        else:
+            columns[name] = rng.integers(0, 300, shape).astype(dtype)
+    columns["dataset_code"][:] = 0
+    return FleetTrace.from_columns(columns, ("kitti",), start_index)
 
 
 def _tree_bytes(path: Path) -> int:
@@ -182,8 +167,7 @@ def bench_mmap_merge(
     repeats: int,
 ) -> dict:
     """Memory-mapped columnar merge vs unpickle + per-frame object merge."""
-    from repro.env.fleet import FleetTrace, _scatter_frame_results
-    from repro.env.fleet import validate_session_partition
+    from repro.env.fleet import FleetTrace, validate_session_partition
     from repro.runtime.shards import ShardPlan, _interleave_shard_traces
     from repro.store import write_fleet_trace
 
@@ -223,12 +207,8 @@ def bench_mmap_merge(
                     shard_frames.append(pickle.load(handle))
             merged = FleetTrace(num_sessions)
             for frame_index in range(num_frames):
-                merged.append(
-                    _scatter_frame_results(
-                        [frames[frame_index] for frames in shard_frames],
-                        targets,
-                        num_sessions,
-                    )
+                merged.append_groups(
+                    [frames[frame_index] for frames in shard_frames], targets
                 )
 
         name = f"mmap_merge_{num_shards}x{num_sessions // num_shards}x{num_frames}f"
@@ -314,10 +294,7 @@ def _dense_summary(trace) -> dict:
         "energy_j",
         "num_proposals",
     )
-    dense = {
-        name: np.stack([getattr(frame, name) for frame in trace])
-        for name in fields
-    }
+    dense = {name: trace.column_window(name) for name in fields}
     latencies = dense["total_latency_ms"]
     throttled = dense["cpu_throttled"] | dense["gpu_throttled"]
     return {

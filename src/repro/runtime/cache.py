@@ -3,7 +3,7 @@
 Completed :class:`~repro.core.training.SessionResult` objects are persisted
 as gzip-compressed JSON under a directory keyed by the job hash (see
 :mod:`repro.runtime.job`).  The payload stores the policy's loss/reward
-histories plus the per-frame trace; the summary metrics are *recomputed* on
+histories plus the trace's columns; the summary metrics are *recomputed* on
 load through the same :func:`~repro.core.training.session_result_from_trace`
 path a fresh run uses, so a cache hit is guaranteed to yield bit-identical
 metrics to the run that produced it.
@@ -23,7 +23,6 @@ with the ``REPRO_CACHE_DIR`` environment variable or per-instance.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import gzip
 import json
 import os
@@ -34,8 +33,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, List, Optional
 
+import numpy as np
+
 from repro.core.training import SessionResult, session_result_from_trace
-from repro.env.trace import FrameRecord, Trace
+from repro.env.trace import COLUMN_DTYPES, Trace
 from repro.errors import ExperimentError, StoreError
 from repro.obs import bus as _obs
 from repro.runtime.job import CACHE_SCHEMA_VERSION
@@ -51,8 +52,8 @@ CACHE_BLOB_ENV = "REPRO_CACHE_BLOB_FRAMES"
 #: blobs instead of inline JSON rows.
 DEFAULT_BLOB_THRESHOLD_FRAMES = 512
 
-#: Column order used by the serialised trace payload.
-_TRACE_FIELDS = tuple(f.name for f in dataclasses.fields(FrameRecord))
+#: Columns of the serialised trace payload.
+_TRACE_COLUMNS = ("index", *COLUMN_DTYPES)
 
 _BLOB_SUFFIX = ".blob"
 _PAYLOAD_SUFFIX = ".json.gz"
@@ -166,11 +167,6 @@ class ResultCache:
 
     # -- round trip ----------------------------------------------------------
 
-    def _trace_is_contiguous(self, trace: Trace) -> bool:
-        records = trace.records
-        base = records[0].index if records else 0
-        return all(record.index == base + i for i, record in enumerate(records))
-
     def store(self, key: str, result: SessionResult) -> Path:
         """Persist ``result`` under ``key`` and return the payload path.
 
@@ -185,15 +181,17 @@ class ResultCache:
         payload = {
             "schema": CACHE_SCHEMA_VERSION,
             "policy_name": result.policy_name,
-            "fields": list(_TRACE_FIELDS),
+            "columns": list(_TRACE_COLUMNS),
             "losses": [float(v) for v in result.losses],
             "rewards": [float(v) for v in result.rewards],
         }
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        use_blob = len(
-            result.trace
-        ) >= self.blob_threshold_frames and self._trace_is_contiguous(result.trace)
+        columns = result.trace.columns()
+        index = columns["index"]
+        use_blob = len(index) >= self.blob_threshold_frames and np.array_equal(
+            index, index[0] + np.arange(len(index))
+        )
         if use_blob:
             blob_dir = self.blob_dir_for(key)
             tmp_dir = Path(
@@ -212,10 +210,8 @@ class ResultCache:
             if _obs.active():
                 _obs.inc("cache.blob_bytes_written", _tree_bytes(blob_dir))
         else:
-            payload["records"] = [
-                [getattr(record, name) for name in _TRACE_FIELDS]
-                for record in result.trace
-            ]
+            payload["datasets"] = list(result.trace.dataset_table)
+            payload["values"] = [columns[name].tolist() for name in _TRACE_COLUMNS]
         # Unique temp name per writer: two processes storing the same key
         # concurrently (shared cache directory) must not clobber each
         # other's half-written payload before the atomic rename.
@@ -256,7 +252,7 @@ class ResultCache:
             return None
         if payload.get("schema") != CACHE_SCHEMA_VERSION:
             return None
-        if payload.get("fields") != list(_TRACE_FIELDS):
+        if payload.get("columns") != list(_TRACE_COLUMNS):
             return None
         blob_name = payload.get("trace_blob")
         if blob_name is not None:
@@ -273,11 +269,8 @@ class ResultCache:
             if len(trace) != payload.get("num_frames", len(trace)):
                 return None
         else:
-            trace = Trace(
-                [
-                    FrameRecord(**dict(zip(_TRACE_FIELDS, row)))
-                    for row in payload["records"]
-                ]
+            trace = Trace.from_columns(
+                dict(zip(_TRACE_COLUMNS, payload["values"])), payload["datasets"]
             )
         return session_result_from_trace(
             payload["policy_name"],

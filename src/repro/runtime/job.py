@@ -12,8 +12,9 @@ field (with a ``None`` latency constraint replaced by the derived default,
 so that an explicit constraint equal to the derived one hashes identically),
 the method name, the ambient/domain specification, and a fingerprint of the
 code-relevant configuration (agent hyper-parameter defaults, reward
-defaults, margin-derivation constants and the package version).  Changing
-any configuration default therefore invalidates the cache automatically,
+defaults, margin-derivation constants, the package version and a digest of
+the simulation sources).  Changing any configuration default or any
+numerics-bearing source file therefore invalidates the cache automatically,
 while re-rendering a table with unchanged code is a pure cache hit.
 
 Frozen-policy jobs (method ``policy:<id>``, see :mod:`repro.policies`) get
@@ -30,11 +31,20 @@ import functools
 import hashlib
 import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 #: Bumped whenever the serialised payload layout or the key derivation
 #: changes incompatibly; keys embed it so stale entries are never read.
-CACHE_SCHEMA_VERSION = 2
+CACHE_SCHEMA_VERSION = 3
+
+#: Sources whose code decides a run's numbers (globs under the package
+#: root); their digest is part of every job key.
+NUMERIC_SOURCES = (
+    "env/**/*.py", "hardware/**/*.py", "detection/**/*.py", "workload/**/*.py",
+    "governors/**/*.py", "rl/**/*.py", "core/**/*.py", "baselines/**/*.py",
+    "analysis/experiments.py",
+)
 
 
 @dataclass(frozen=True)
@@ -113,13 +123,26 @@ def ambient_fingerprint(ambient: Any) -> Optional[Dict[str, Any]]:
         ) from exc
 
 
+@functools.lru_cache(maxsize=1)
+def source_digest() -> str:
+    """SHA-256 over the :data:`NUMERIC_SOURCES` files, paths included."""
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    sources = {path for pattern in NUMERIC_SOURCES for path in root.glob(pattern)}
+    for source in sorted(sources):
+        digest.update(source.relative_to(root).as_posix().encode("utf-8") + b"\0")
+        digest.update(source.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
 def config_fingerprint() -> Dict[str, Any]:
     """Code-relevant configuration snapshot folded into every job key.
 
     Captures the default hyper-parameters of the learning agents and the
-    reward, the experiment-derivation constants, and the package version.
-    Any change to these defaults produces different job keys, so cached
-    results can never silently survive a configuration change.
+    reward, the experiment-derivation constants, the package version and
+    the :func:`source_digest` of the simulation code.  Any change to these
+    defaults or sources produces different job keys, so cached results can
+    never silently survive a configuration or code change.
     """
     from repro import __version__
     from repro.analysis import experiments
@@ -138,6 +161,7 @@ def config_fingerprint() -> Dict[str, Any]:
         "soft_margin_range_c": list(experiments.SOFT_MARGIN_RANGE_C),
         "reference_ambient_c": experiments.REFERENCE_AMBIENT_C,
         "constraint_headroom": experiments.CONSTRAINT_HEADROOM,
+        "source_digest": source_digest(),
     }
 
 

@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import atexit
 import copy
+import gc
 import hashlib
 import json
 import os
@@ -404,6 +405,10 @@ def _worker_main(conn) -> None:
                 meta["obs"] = _obs.registry().snapshot()
                 _obs.disable()
             conn.send(("DONE", index, meta, _export_payload(result)))
+            # Free the finished task's reference cycles (policies, learners)
+            # now, so a long-lived worker's memory stays flat across tasks.
+            del message, args, result
+            gc.collect()
             continue
         conn.send(("ERR", None, _pickle_error(ShardError(f"bad command {command!r}"))))
     conn.close()

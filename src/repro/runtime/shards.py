@@ -46,16 +46,15 @@ from repro.errors import FaultError, ShardError
 from repro.obs import bus as _obs
 from repro.core.training import SessionResult, session_result_from_trace
 from repro.env.fleet import (
-    _FRAME_RESULT_ARRAY_FIELDS,
-    FleetFrameResult,
     FleetSessionGroup,
     FleetTrace,
-    _scatter_frame_results,
+    advance_groups,
     run_fleet_episode,
     run_grouped_fleet_episode,
     validate_session_partition,
 )
-from repro.store import FleetTraceWriter, MappedFleetTrace
+from repro.env.trace import COLUMN_DTYPES, DATASET_CODE_COLUMN
+from repro.store import FleetTraceWriter, MappedFleetTrace, write_fleet_trace
 from repro.faults.plan import WorkerCrash
 from repro.runtime.pool import (
     PoolTask,
@@ -388,52 +387,33 @@ def _run_fleet_shard(
 # ---------------------------------------------------------------------------
 
 
-def _as_shard_trace(entry):
-    """Normalise one shard payload into a columnar trace-like.
-
-    Accepts a manifest path (opened as a zero-copy
-    :class:`~repro.store.MappedFleetTrace`), any object exposing the
-    column-window protocol (``FleetTrace`` or an already-open mapped trace),
-    or — for backwards compatibility — a plain list of
-    :class:`~repro.env.fleet.FleetFrameResult` frames.
-    """
-    if isinstance(entry, (str, Path)):
-        return MappedFleetTrace(entry), True
-    if hasattr(entry, "column_window"):
-        return entry, False
-    if not entry:
-        raise ShardError("shard returned an empty frame list")
-    wrapped = FleetTrace(entry[0].num_sessions)
-    for frame in entry:
-        wrapped.append(frame)
-    return wrapped, False
-
-
 def _interleave_shard_traces(
     shard_traces: Sequence[object],
     shards: Sequence[ShardPlan],
     num_sessions: int,
-    block_frames: int = 256,
 ) -> FleetTrace:
     """Merge per-shard traces into one trace in global session order.
 
-    Shard payloads are columnar trace-likes — in practice the manifest
-    paths of spooled chunk stores, opened here as memory-mapped column
-    views (see :func:`_as_shard_trace`).  The shard partition is validated
-    once, then the merge scatters ``block_frames``-frame column windows
-    straight into combined per-frame arrays: no shard trace is ever
-    unpickled or materialised frame-object by frame-object, and peak merge
-    memory is one block per column rather than every shard's full trace.
-    The scatter applies the same partition machinery the grouped episode
-    loop uses, so a sharded trace is indistinguishable from (bitwise equal
-    to) a single-process one.
+    Shard payloads are column-window trace-likes (``FleetTrace`` or an open
+    mapped trace) or — in practice — the manifest paths of spooled chunk
+    stores, opened here as memory-mapped column views.  The shard partition
+    is validated once, then each shard's column chunks are scattered
+    straight into the merged ``(frames, sessions)`` columns at the shard's
+    session indices, with its dataset codes remapped onto the merged
+    dataset table: no shard trace is unpickled or rebuilt frame by frame,
+    so a sharded trace is bitwise equal to a single-process one.
     """
     merge_span = _obs.span("shard.merge", shards=len(shards))
     merge_span.__enter__()
     targets = validate_session_partition(
         [shard.session_indices for shard in shards], num_sessions
     )
-    normalised = [_as_shard_trace(entry) for entry in shard_traces]
+    normalised = [
+        (MappedFleetTrace(entry), True)
+        if isinstance(entry, (str, Path))
+        else (entry, False)
+        for entry in shard_traces
+    ]
     traces = [trace for trace, _ in normalised]
     try:
         lengths = {len(trace) for trace in traces}
@@ -447,47 +427,52 @@ def _interleave_shard_traces(
             raise ShardError(
                 f"shard frame indices diverged: starts {sorted(starts)}"
             )
-        start_index = starts.pop()
-        target_lists = [target.tolist() for target in targets]
-        merged = FleetTrace(num_sessions)
-        for lo in range(0, num_frames, block_frames):
-            hi = min(lo + block_frames, num_frames)
-            blocks: Dict[str, np.ndarray] = {}
-            for field in _FRAME_RESULT_ARRAY_FIELDS:
-                first = traces[0].column_window(field, lo, hi)
-                out = np.empty((hi - lo, num_sessions), dtype=first.dtype)
-                out[:, targets[0]] = first
-                for trace, target in zip(traces[1:], targets[1:]):
-                    window = trace.column_window(field, lo, hi)
-                    if window.dtype != first.dtype:
+        columns = {
+            name: np.empty((num_frames, num_sessions), dtype=dtype)
+            for name, dtype in COLUMN_DTYPES.items()
+        }
+        codes: Dict[str, int] = {}
+        for trace, target in zip(traces, targets):
+            remap = np.array(
+                [codes.setdefault(name, len(codes)) for name in trace.dataset_table],
+                dtype=np.int32,
+            )
+            for name, merged in columns.items():
+                for lo, block in trace.iter_column_chunks(name):
+                    if block.dtype != merged.dtype:
                         raise ShardError(
-                            f"shard column {field!r} dtypes diverged: "
-                            f"{window.dtype} != {first.dtype}"
+                            f"shard column {name!r} has dtype {block.dtype}, "
+                            f"expected {merged.dtype}"
                         )
-                    out[:, target] = window
-                blocks[field] = out
-            dataset_rows = [[""] * num_sessions for _ in range(hi - lo)]
-            for trace, target in zip(traces, target_lists):
-                for row, datasets in zip(dataset_rows, trace.datasets_window(lo, hi)):
-                    for local, global_index in enumerate(target):
-                        row[global_index] = datasets[local]
-            for offset in range(hi - lo):
-                merged.append(
-                    FleetFrameResult(
-                        index=start_index + lo + offset,
-                        datasets=tuple(dataset_rows[offset]),
-                        **{
-                            field: blocks[field][offset]
-                            for field in _FRAME_RESULT_ARRAY_FIELDS
-                        },
-                    )
-                )
-        return merged
+                    if name == DATASET_CODE_COLUMN:
+                        block = remap[block]
+                    merged[lo : lo + len(block), target] = block
+        return FleetTrace.from_columns(columns, list(codes), starts.pop())
     finally:
         for trace, opened in normalised:
             if opened:
                 trace.close()
         merge_span.__exit__(None, None, None)
+
+
+def _shard_sessions(
+    shards: Sequence[ShardPlan], shard_results: Sequence[tuple], fleet_trace
+) -> Tuple[SessionResult, ...]:
+    """Every session's result in global order from the merged trace.
+
+    Shard ``k``'s result is ``(payload, losses, rewards, names, ...)`` for
+    its sessions; the shards cover the fleet in ascending order.
+    """
+    return tuple(
+        session_result_from_trace(
+            names[local],
+            fleet_trace.session_trace(shard.start + local),
+            losses=losses[local],
+            rewards=rewards[local],
+        )
+        for shard, (_, losses, rewards, names, *_) in zip(shards, shard_results)
+        for local in range(shard.num_sessions)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -634,21 +619,12 @@ def run_sharded_scenario(
     elapsed_s = time.perf_counter() - start_time
     run_span.__exit__(None, None, None)
 
-    sessions: List[SessionResult] = [None] * total  # type: ignore[list-item]
-    for shard, (_, losses, rewards, names) in zip(shards, shard_results):
-        for local in range(shard.num_sessions):
-            index = shard.start + local
-            sessions[index] = session_result_from_trace(
-                names[local],
-                fleet_trace.session_trace(index),
-                losses=losses[local],
-                rewards=rewards[local],
-            )
+    sessions = _shard_sessions(shards, shard_results, fleet_trace)
     return ShardedScenarioResult(
         scenario=scenario,
         assignments=assignments,
         shards=shards,
-        sessions=tuple(sessions),
+        sessions=sessions,
         fleet_trace=fleet_trace,
         elapsed_s=elapsed_s,
     )
@@ -737,24 +713,13 @@ def run_sharded_fleet(
     elapsed_s = time.perf_counter() - start_time
     run_span.__exit__(None, None, None)
 
-    sessions: List[SessionResult] = []
-    for shard, (_, losses, rewards, names, _) in zip(shards, shard_results):
-        for local in range(shard.num_sessions):
-            index = shard.start + local
-            sessions.append(
-                session_result_from_trace(
-                    names[local],
-                    fleet_trace.session_trace(index),
-                    losses=losses[local],
-                    rewards=rewards[local],
-                )
-            )
+    sessions = _shard_sessions(shards, shard_results, fleet_trace)
     return FleetRunResult(
         setting=setting,
         method=method,
         num_sessions=num_sessions,
         policy_name=shard_results[0][4],
-        sessions=tuple(sessions),
+        sessions=sessions,
         fleet_trace=fleet_trace,
         elapsed_s=elapsed_s,
     )
@@ -846,14 +811,14 @@ def _run_supervised_shard(
 ):
     """Run one scenario shard with periodic checkpoints and crash injection.
 
-    The frame loop mirrors :func:`repro.env.fleet.run_grouped_fleet_episode`
-    exactly, but pauses at frame boundaries to spool a checkpoint (the
-    environments' and policies' ``state_dict`` snapshots plus the frames
-    recorded so far) every ``checkpoint_every`` frames.  When a checkpoint
-    for this shard already exists in the spool, the worker resumes from it
-    instead of frame 0 — because every state a frame reads is captured, the
-    resumed run's remaining frames are bit-identical to an uninterrupted
-    one.
+    The frame loop advances the groups like
+    :func:`repro.env.fleet.run_grouped_fleet_episode`, but pauses at frame
+    boundaries to spool a checkpoint (the environments' and policies'
+    ``state_dict`` snapshots plus the trace columns recorded so far) every
+    ``checkpoint_every`` frames.  When a checkpoint for this shard already
+    exists in the spool, the worker resumes from it instead of frame 0 —
+    because every state a frame reads is captured, the resumed run's
+    remaining frames are bit-identical to an uninterrupted one.
 
     ``crash_frame`` injects a worker death: the process calls ``os._exit``
     at the start of that frame, once — a marker file in the spool keeps the
@@ -880,7 +845,7 @@ def _run_supervised_shard(
     spool = Path(spool_dir)
     checkpoint_path = spool / f"shard-{shard_index}.ckpt"
     crash_marker = spool / f"shard-{shard_index}.crashed"
-    frames: List[FleetFrameResult] = []
+    trace = FleetTrace(count)
     first_frame = 0
     if checkpoint_path.exists():
         with open(checkpoint_path, "rb") as handle:
@@ -891,11 +856,12 @@ def _run_supervised_shard(
             group.environment.load_state_dict(environment_state)
             if policy_state is not None:
                 group.policy.load_state_dict(policy_state)
-        frames = payload["frames"]
+        trace = payload["trace"]
         first_frame = payload["frame"]
         _obs.event("checkpoint.restore", shard=shard_index, frame=first_frame)
         _obs.inc("checkpoint.restores")
 
+    trace.reserve(num_frames - first_frame)
     for frame in range(first_frame, num_frames):
         if (
             crash_frame is not None
@@ -904,18 +870,7 @@ def _run_supervised_shard(
         ):
             crash_marker.write_text(str(frame))
             os._exit(43)
-        for group in session_groups:
-            observation = group.environment.begin_frame()
-            group.environment.apply_decision(group.policy.begin_frame(observation))
-        for group in session_groups:
-            observation = group.environment.run_first_stage()
-            group.environment.apply_decision(group.policy.mid_frame(observation))
-        results = []
-        for group in session_groups:
-            result = group.environment.run_second_stage()
-            group.policy.end_frame(result)
-            results.append(result)
-        frames.append(_scatter_frame_results(results, targets, count))
+        trace.append_groups(advance_groups(session_groups), targets)
         completed = frame + 1
         if (
             checkpoint_every > 0
@@ -935,26 +890,15 @@ def _run_supervised_shard(
                         else None
                         for group in session_groups
                     ],
-                    "frames": frames,
+                    "trace": trace,
                 },
             )
             _obs.event("checkpoint.write", shard=shard_index, frame=completed)
             _obs.inc("checkpoint.writes")
 
-    losses: List[List[float]] = [[] for _ in range(count)]
-    rewards: List[List[float]] = [[] for _ in range(count)]
-    names: List[str] = [""] * count
-    for group, (_, group_assignments) in zip(session_groups, grouped):
-        group_losses, group_rewards = _session_histories(
-            group.policy, group.environment.num_sessions
-        )
-        group_names = _session_policy_names(
-            group.policy, group.environment.num_sessions
-        )
-        for local, assignment in enumerate(group_assignments):
-            losses[assignment.index - start] = group_losses[local]
-            rewards[assignment.index - start] = group_rewards[local]
-            names[assignment.index - start] = group_names[local]
+    losses, rewards, names = _collect_shard_histories(
+        session_groups, grouped, start, count
+    )
     degraded = collect_degraded(session_groups, num_frames, count)
 
     # Spool the completed trace as a chunk store.  A stale store can exist
@@ -963,10 +907,7 @@ def _run_supervised_shard(
     store_dir = spool / f"shard-{shard_index}-trace"
     if store_dir.exists():
         shutil.rmtree(store_dir)
-    writer = FleetTraceWriter(store_dir, count)
-    for frame_result in frames:
-        writer.append(frame_result)
-    manifest = writer.close()
+    manifest = write_fleet_trace(trace, store_dir)
     run_span.__exit__(None, None, None)
     return str(manifest), losses, rewards, names, degraded
 
@@ -1092,16 +1033,7 @@ def run_supervised_scenario(
             if shard_degraded is not None:
                 degraded[:, shard.start : shard.stop] = shard_degraded
 
-    sessions: List[SessionResult] = [None] * total  # type: ignore[list-item]
-    for shard, (_, losses, rewards, names, _) in zip(shards, ordered):
-        for local in range(shard.num_sessions):
-            index = shard.start + local
-            sessions[index] = session_result_from_trace(
-                names[local],
-                fleet_trace.session_trace(index),
-                losses=losses[local],
-                rewards=rewards[local],
-            )
+    sessions = _shard_sessions(shards, ordered, fleet_trace)
 
     if own_spool:
         # The spool now holds directories (spooled trace stores) alongside
@@ -1120,7 +1052,7 @@ def run_supervised_scenario(
         scenario=scenario,
         assignments=assignments,
         shards=shards,
-        sessions=tuple(sessions),
+        sessions=sessions,
         fleet_trace=fleet_trace,
         elapsed_s=elapsed_s,
         recovery=recovery,

@@ -20,10 +20,11 @@ and the manifest is written *last*, so a crashed writer never leaves a
 readable-but-wrong store: either the manifest exists and every chunk it
 indexes is complete, or the directory is not a store at all.
 
-:class:`MappedFleetTrace` serves frames, per-session scalar traces and
-column windows from ``numpy.memmap`` views without loading chunk files into
-memory, and round-trips byte-identical to the in-memory
-:class:`~repro.env.fleet.FleetTrace` it was written from.
+:class:`MappedFleetTrace` serves frames and column windows from
+``numpy.memmap`` views without loading chunk files into memory (session
+traces are rows of one copy, as for the in-memory trace), and round-trips
+byte-identical to the in-memory :class:`~repro.env.fleet.FleetTrace` it was
+written from.
 """
 
 from __future__ import annotations
@@ -38,18 +39,19 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.env.fleet import _FRAME_RESULT_ARRAY_FIELDS, FleetFrameResult, FleetTrace
-from repro.env.trace import FrameRecord, Trace
+from repro.env.fleet import (
+    _FRAME_RESULT_ARRAY_FIELDS,
+    ColumnWindowTrace,
+    FleetFrameResult,
+    FleetTrace,
+)
+from repro.env.trace import COLUMN_DTYPES, DATASET_CODE_COLUMN, Trace
 from repro.errors import StoreError
 
 STORE_FORMAT = "repro-store/v1"
 STORE_FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 DEFAULT_CHUNK_FRAMES = 256
-
-#: Synthetic int32 column recording each session's dataset as an index into
-#: the manifest's dataset string table.
-DATASET_CODE_COLUMN = "dataset_code"
 
 _CHUNK_NAME = "chunk-{:06d}.bin"
 
@@ -58,15 +60,13 @@ _CHUNK_NAME = "chunk-{:06d}.bin"
 _ALLOWED_DTYPES = frozenset({"<f8", "<i8", "|b1", "<i4"})
 
 
-def _column_order(dtypes: Dict[str, np.dtype]) -> List[str]:
-    """Schema column order: descending itemsize, stable in field order.
-
-    With the chunk laid out largest-itemsize first, every column block's
-    byte offset is a multiple of its own itemsize (chunk files start
-    page-aligned under ``mmap``), so memmap views never straddle alignment.
-    """
-    names = list(_FRAME_RESULT_ARRAY_FIELDS) + [DATASET_CODE_COLUMN]
-    return sorted(names, key=lambda name: -dtypes[name].itemsize)
+#: Schema column order: descending itemsize, stable in field order.  With
+#: the chunk laid out largest-itemsize first, every column block's byte
+#: offset is a multiple of its own itemsize (chunk files start page-aligned
+#: under ``mmap``), so memmap views never straddle alignment.
+_COLUMN_ORDER = sorted(
+    COLUMN_DTYPES, key=lambda name: -COLUMN_DTYPES[name].itemsize
+)
 
 
 def _atomic_write_bytes(path: Path, payload: bytes) -> None:
@@ -85,10 +85,11 @@ class FleetTraceWriter:
     """Incremental chunked writer for fleet traces.
 
     Frames are appended one at a time (the episode loops use the writer
-    directly as a trace *sink*), buffered by reference, and flushed to disk
-    every ``chunk_frames`` frames, so peak writer memory is one chunk
-    regardless of episode length.  ``close()`` flushes the tail chunk and
-    writes the manifest; until then the directory is not a readable store.
+    directly as a trace *sink*), copied into a one-chunk
+    :class:`~repro.env.fleet.FleetTrace` buffer, and flushed to disk every
+    ``chunk_frames`` frames, so peak writer memory is one chunk regardless
+    of episode length.  ``close()`` flushes the tail chunk and writes the
+    manifest; until then the directory is not a readable store.
     """
 
     def __init__(
@@ -110,52 +111,16 @@ class FleetTraceWriter:
         self.chunk_frames = chunk_frames
         self._start_index = start_index
         self._frames_written = 0
-        self._dtypes: Dict[str, np.dtype] = {}
-        self._order: List[str] = []
-        self._buffers: Dict[str, List[np.ndarray]] = {}
+        self._buffer = FleetTrace(num_sessions)
         self._chunks: List[dict] = []
-        self._dataset_table: List[str] = []
         self._dataset_codes: Dict[str, int] = {}
-        self._last_datasets: Optional[tuple] = None
-        self._last_codes: Optional[np.ndarray] = None
         self._closed = False
-
-    # -- schema ------------------------------------------------------------
-
-    def _init_schema(self, frame: FleetFrameResult) -> None:
-        dtypes: Dict[str, np.dtype] = {}
-        for name in _FRAME_RESULT_ARRAY_FIELDS:
-            dtype = np.asarray(getattr(frame, name)).dtype
-            if dtype.str not in _ALLOWED_DTYPES:
-                raise StoreError(
-                    f"column {name!r} has unsupported dtype {dtype.str!r}"
-                )
-            dtypes[name] = dtype
-        dtypes[DATASET_CODE_COLUMN] = np.dtype(np.int32)
-        self._dtypes = dtypes
-        self._order = _column_order(dtypes)
-        self._buffers = {name: [] for name in self._order}
-
-    def _encode_datasets(self, datasets: tuple) -> np.ndarray:
-        if datasets == self._last_datasets and self._last_codes is not None:
-            return self._last_codes
-        codes = np.empty(self.num_sessions, dtype=np.int32)
-        for i, name in enumerate(datasets):
-            code = self._dataset_codes.get(name)
-            if code is None:
-                code = len(self._dataset_table)
-                self._dataset_codes[name] = code
-                self._dataset_table.append(str(name))
-            codes[i] = code
-        self._last_datasets = datasets
-        self._last_codes = codes
-        return codes
 
     # -- appending ---------------------------------------------------------
 
     @property
     def frames_buffered(self) -> int:
-        return len(self._buffers[self._order[0]]) if self._order else 0
+        return len(self._buffer)
 
     @property
     def frames_written(self) -> int:
@@ -182,38 +147,32 @@ class FleetTraceWriter:
             raise StoreError(
                 f"non-contiguous frame index {frame.index} (expected {expected})"
             )
-        if not self._order:
-            self._init_schema(frame)
-        for name in _FRAME_RESULT_ARRAY_FIELDS:
-            array = np.asarray(getattr(frame, name))
-            if array.dtype != self._dtypes[name]:
-                raise StoreError(
-                    f"column {name!r} changed dtype mid-trace: "
-                    f"{array.dtype.str!r} != {self._dtypes[name].str!r}"
-                )
-            if array.shape != (self.num_sessions,):
-                raise StoreError(
-                    f"column {name!r} has shape {array.shape}, expected "
-                    f"({self.num_sessions},)"
-                )
-            self._buffers[name].append(array)
-        self._buffers[DATASET_CODE_COLUMN].append(self._encode_datasets(frame.datasets))
+        if not len(self._buffer):
+            self._buffer.reserve(self.chunk_frames)
+        self._buffer.append(frame)
         self._frames_written += 1
-        if self.frames_buffered >= self.chunk_frames:
+        if len(self._buffer) >= self.chunk_frames:
             self._flush_chunk()
 
     def _flush_chunk(self) -> None:
-        frames = self.frames_buffered
+        buffer = self._buffer
+        frames = len(buffer)
         if frames == 0:
             return
+        codes = self._dataset_codes
+        remap = np.array(
+            [codes.setdefault(name, len(codes)) for name in buffer.dataset_table],
+            dtype=np.int32,
+        )
         digest = hashlib.sha256()
         parts: List[bytes] = []
-        for name in self._order:
-            block = np.stack(self._buffers[name])
+        for name in _COLUMN_ORDER:
+            block = buffer.column_window(name)
+            if name == DATASET_CODE_COLUMN:
+                block = remap[block]
             raw = block.tobytes()
             digest.update(raw)
             parts.append(raw)
-            self._buffers[name].clear()
         payload = b"".join(parts)
         start = self.start_index + self._frames_written - frames
         filename = _CHUNK_NAME.format(len(self._chunks))
@@ -227,6 +186,7 @@ class FleetTraceWriter:
                 "sha256": digest.hexdigest(),
             }
         )
+        self._buffer = FleetTrace(self.num_sessions)
 
     # -- finalising --------------------------------------------------------
 
@@ -245,9 +205,10 @@ class FleetTraceWriter:
             "chunk_frames": self.chunk_frames,
             "start_index": self.start_index,
             "columns": [
-                {"name": name, "dtype": self._dtypes[name].str} for name in self._order
+                {"name": name, "dtype": COLUMN_DTYPES[name].str}
+                for name in _COLUMN_ORDER
             ],
-            "datasets": self._dataset_table,
+            "datasets": list(self._dataset_codes),
             "chunks": self._chunks,
         }
         _atomic_write_bytes(
@@ -267,7 +228,7 @@ class FleetTraceWriter:
         # readers reject it instead of serving a partial trace.
 
 
-class MappedFleetTrace:
+class MappedFleetTrace(ColumnWindowTrace):
     """Zero-copy reader over a sealed trace store.
 
     Chunk files are memory-mapped lazily and served as dtype views; frames,
@@ -348,7 +309,7 @@ class MappedFleetTrace:
             if key not in manifest:
                 raise StoreError(f"{self.path}: manifest is missing {key!r}")
         names = [column.get("name") for column in manifest["columns"]]
-        expected = set(_FRAME_RESULT_ARRAY_FIELDS) | {DATASET_CODE_COLUMN}
+        expected = set(COLUMN_DTYPES)
         if set(names) != expected or len(names) != len(expected):
             raise StoreError(
                 f"{self.path}: manifest column schema does not match "
@@ -446,26 +407,12 @@ class MappedFleetTrace:
         raw = self._chunk_map(chunk)[offset : offset + nbytes]
         return raw.view(dtype).reshape(frames, self.num_sessions)
 
-    def _locate(self, frame: int) -> Tuple[int, int]:
-        """Map a 0-based frame offset to ``(chunk, row)``."""
-        cursor = 0
-        for chunk, entry in enumerate(self._chunks):
-            if frame < cursor + entry["frames"]:
-                return chunk, frame - cursor
-            cursor += entry["frames"]
-        raise StoreError(f"frame offset {frame} out of range [0, {self.num_frames})")
-
     # -- public read API ---------------------------------------------------
 
     @property
     def start_index(self) -> int:
         """Global index of the first stored frame."""
         return self._start_index
-
-    @property
-    def total_frames(self) -> int:
-        """Aggregate frames processed across the fleet (frames x sessions)."""
-        return self.num_frames * self.num_sessions
 
     @property
     def column_names(self) -> Tuple[str, ...]:
@@ -515,106 +462,10 @@ class MappedFleetTrace:
             out[offset - start : offset - start + block.shape[0]] = block
         return out
 
-    def datasets_window(
-        self, start: int = 0, stop: Optional[int] = None
-    ) -> List[tuple]:
-        """Per-frame dataset-name tuples for frames ``[start, stop)``."""
-        table = self._datasets
-        rows: List[tuple] = []
-        last_codes: Optional[bytes] = None
-        last_row: Optional[tuple] = None
-        for _, block in self.iter_column_chunks(DATASET_CODE_COLUMN, start, stop):
-            for codes in block:
-                key = codes.tobytes()
-                if key != last_codes:
-                    last_row = tuple(table[code] for code in codes)
-                    last_codes = key
-                rows.append(last_row)
-        return rows
-
-    def __getitem__(self, frame: int) -> FleetFrameResult:
-        """Frame ``frame`` (0-based offset) as memmap-backed views."""
-        if frame < 0:
-            frame += self.num_frames
-        if not 0 <= frame < self.num_frames:
-            raise StoreError(f"frame offset {frame} out of range [0, {self.num_frames})")
-        chunk, row = self._locate(frame)
-        codes = self._column_block(chunk, DATASET_CODE_COLUMN)[row]
-        arrays = {
-            name: self._column_block(chunk, name)[row]
-            for name in _FRAME_RESULT_ARRAY_FIELDS
-        }
-        return FleetFrameResult(
-            index=self._start_index + frame,
-            datasets=tuple(self._datasets[code] for code in codes),
-            **arrays,
-        )
-
-    def __iter__(self) -> Iterator[FleetFrameResult]:
-        for frame in range(self.num_frames):
-            yield self[frame]
-
-    def session_columns(self, i: int) -> Dict[str, np.ndarray]:
-        """Session ``i``'s scalar columns, gathered chunk by chunk."""
-        if not 0 <= i < self.num_sessions:
-            raise StoreError(f"session {i} out of range [0, {self.num_sessions - 1}]")
-        columns: Dict[str, np.ndarray] = {
-            name: np.empty(self.num_frames, dtype=self._dtypes[name])
-            for name in self._order
-        }
-        for name in self._order:
-            for offset, block in self.iter_column_chunks(name):
-                columns[name][offset : offset + block.shape[0]] = block[:, i]
-        return columns
-
-    def session_trace(self, i: int) -> Trace:
-        """Materialise session ``i``'s scalar :class:`Trace`."""
-        columns = self.session_columns(i)
-        codes = columns.pop(DATASET_CODE_COLUMN)
-        table = self._datasets
-        records = [
-            FrameRecord(
-                index=self._start_index + f,
-                dataset=table[codes[f]],
-                num_proposals=int(columns["num_proposals"][f]),
-                stage1_latency_ms=float(columns["stage1_latency_ms"][f]),
-                stage2_latency_ms=float(columns["stage2_latency_ms"][f]),
-                total_latency_ms=float(columns["total_latency_ms"][f]),
-                latency_constraint_ms=float(columns["latency_constraint_ms"][f]),
-                met_constraint=bool(columns["met_constraint"][f]),
-                cpu_temperature_c=float(columns["cpu_temperature_c"][f]),
-                gpu_temperature_c=float(columns["gpu_temperature_c"][f]),
-                cpu_level_stage1=int(columns["cpu_level_stage1"][f]),
-                gpu_level_stage1=int(columns["gpu_level_stage1"][f]),
-                cpu_level_stage2=int(columns["cpu_level_stage2"][f]),
-                gpu_level_stage2=int(columns["gpu_level_stage2"][f]),
-                cpu_throttled=bool(columns["cpu_throttled"][f]),
-                gpu_throttled=bool(columns["gpu_throttled"][f]),
-                ambient_temperature_c=float(columns["ambient_temperature_c"][f]),
-                energy_j=float(columns["energy_j"][f]),
-            )
-            for f in range(self.num_frames)
-        ]
-        return Trace(records)
-
-    def to_traces(self) -> List[Trace]:
-        """Materialise every session's scalar trace."""
-        return [self.session_trace(i) for i in range(self.num_sessions)]
-
-    def to_fleet_trace(self) -> FleetTrace:
-        """Materialise the whole store as an in-memory :class:`FleetTrace`."""
-        trace = FleetTrace(self.num_sessions)
-        for frame in self:
-            trace.append(frame)
-        return trace
-
-    def latencies_ms(self) -> np.ndarray:
-        """Total latency as a ``(frames, sessions)`` matrix (materialises)."""
-        return np.asarray(self.column_window("total_latency_ms"), dtype=float)
-
-    def constraint_met(self) -> np.ndarray:
-        """Constraint satisfaction as a boolean matrix (materialises)."""
-        return np.asarray(self.column_window("met_constraint"), dtype=bool)
+    @property
+    def dataset_table(self) -> Tuple[str, ...]:
+        """Dataset names indexed by the dataset-code column."""
+        return self._datasets
 
     def close(self) -> None:
         """Drop the chunk memmaps (views handed out become invalid lazily)."""
@@ -638,18 +489,6 @@ def write_fleet_trace(
     return writer.close()
 
 
-_SCALAR_DTYPES = {
-    "num_proposals": np.int64,
-    "cpu_level_stage1": np.int64,
-    "gpu_level_stage1": np.int64,
-    "cpu_level_stage2": np.int64,
-    "gpu_level_stage2": np.int64,
-    "met_constraint": np.bool_,
-    "cpu_throttled": np.bool_,
-    "gpu_throttled": np.bool_,
-}
-
-
 def write_scalar_trace(
     trace: Trace,
     path: Union[str, Path],
@@ -660,19 +499,18 @@ def write_scalar_trace(
     Requires contiguous frame indices (every episode trace has them); raises
     :class:`StoreError` otherwise so callers can fall back to row formats.
     """
-    records = trace.records
-    if not records:
+    columns = trace.columns()
+    index = columns.pop("index")
+    if not len(index):
         raise StoreError("cannot store an empty trace")
-    writer = FleetTraceWriter(path, 1, chunk_frames=chunk_frames)
-    for record in records:
-        arrays = {
-            name: np.array([getattr(record, name)], dtype=_SCALAR_DTYPES.get(name, np.float64))
-            for name in _FRAME_RESULT_ARRAY_FIELDS
-        }
-        writer.append(
-            FleetFrameResult(index=record.index, datasets=(record.dataset,), **arrays)
-        )
-    return writer.close()
+    if not np.array_equal(index, index[0] + np.arange(len(index))):
+        raise StoreError("scalar trace frame indices are not contiguous")
+    fleet = FleetTrace.from_columns(
+        {name: column[:, np.newaxis] for name, column in columns.items()},
+        trace.dataset_table,
+        int(index[0]),
+    )
+    return write_fleet_trace(fleet, path, chunk_frames=chunk_frames)
 
 
 def read_scalar_trace(path: Union[str, Path]) -> Trace:

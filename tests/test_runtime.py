@@ -87,6 +87,16 @@ def test_job_key_changes_when_config_changes(monkeypatch):
     assert job_key(job) != before
 
 
+def test_job_key_changes_when_numeric_sources_change(monkeypatch):
+    from repro.runtime import job as job_module
+
+    job = ExperimentJob(setting=tiny_setting(), method="default")
+    before = job_key(job)
+    assert job_module.source_digest() == job_module.source_digest()
+    monkeypatch.setattr(job_module, "source_digest", lambda: "0" * 64)
+    assert job_key(job) != before
+
+
 def test_job_key_covers_ambient_profiles():
     base = ExperimentJob(setting=tiny_setting(), method="default")
     constant = ExperimentJob(
@@ -133,6 +143,28 @@ def test_cache_round_trip_reproduces_session(tmp_path):
     assert loaded.trace.records[5] == result.trace.records[5]
     assert loaded.losses == pytest.approx(result.losses)
     assert loaded.rewards == pytest.approx(result.rewards)
+
+
+@pytest.mark.parametrize("blob_threshold_frames", [10**6, 1])
+def test_cache_reload_is_bit_identical_by_rows_and_blob(tmp_path, blob_threshold_frames):
+    from dataclasses import astuple
+
+    def bits(metrics):
+        return [v.hex() if isinstance(v, float) else v for v in astuple(metrics)]
+
+    cache = ResultCache(tmp_path, blob_threshold_frames=blob_threshold_frames)
+    result = execute_setting(tiny_setting(num_frames=25), "default")
+    cache.store("c" * 64, result)
+    assert cache.blob_dir_for("c" * 64).exists() == (blob_threshold_frames == 1)
+    loaded = cache.load("c" * 64)
+    assert bits(loaded.metrics) == bits(result.metrics)
+    assert bits(loaded.steady_metrics) == bits(result.steady_metrics)
+    stored, original = loaded.trace.columns(), result.trace.columns()
+    assert stored.keys() == original.keys()
+    for name, column in original.items():
+        assert stored[name].dtype == column.dtype
+        assert stored[name].tobytes() == column.tobytes(), name
+    assert loaded.trace.records == result.trace.records
 
 
 def test_cache_miss_and_corruption_are_tolerated(tmp_path):

@@ -340,11 +340,12 @@ class TestShardedMergeIdentity:
         assert store_bytes < len(pickled) * 1.05
 
 
-class TestMemoizedSessionTraces:
-    def test_session_trace_is_memoized_and_invalidated_on_append(self):
+class TestSessionViews:
+    def test_session_trace_is_rebuilt_on_append(self):
         trace = make_trace(3, 4, seed=2)
         first = trace.session_trace(1)
-        assert trace.session_trace(1) is first
+        block = first.block_origin[0]
+        assert trace.session_trace(2).block_origin[0] is block
         trace.append(
             FleetFrameResult(
                 index=4,
@@ -356,11 +357,7 @@ class TestMemoizedSessionTraces:
             )
         )
         rebuilt = trace.session_trace(1)
-        assert rebuilt is not first
+        assert rebuilt.block_origin[0] is not block
         assert len(rebuilt) == 5
-
-    def test_cache_is_bounded(self):
-        trace = make_trace(FleetTrace._SESSION_CACHE_LIMIT + 8, 2, seed=13)
-        for session in range(trace.num_sessions):
-            trace.session_trace(session)
-        assert len(trace._session_cache) <= FleetTrace._SESSION_CACHE_LIMIT
+        assert len(first) == 4
+        assert rebuilt.records[:4] == first.records
