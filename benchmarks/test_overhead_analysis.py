@@ -51,17 +51,26 @@ def test_overhead_remote_deployment_per_inference(benchmark):
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)
 
+    # Only the simulated (seeded) quantities go into the tracked results
+    # file; the rows that include host-timed agent compute are printed.
     table = format_table(
         ["quantity", "value"],
         [
             ["frames", str(report.frames)],
-            ["agent compute per decision (ms)", f"{report.agent_compute_ms_per_decision:.3f}"],
             ["channel latency per message (ms)", f"{report.channel_ms_per_message:.3f}"],
             ["messages per frame", f"{report.messages_per_frame:.1f}"],
-            ["total overhead per frame (ms)", f"{report.total_overhead_ms_per_frame:.2f}"],
         ],
     )
     emit("overhead_analysis", table)
+    print(
+        format_table(
+            ["host-timed quantity", "value"],
+            [
+                ["agent compute per decision (ms)", f"{report.agent_compute_ms_per_decision:.3f}"],
+                ["total overhead per frame (ms)", f"{report.total_overhead_ms_per_frame:.2f}"],
+            ],
+        )
+    )
 
     # Two decisions per frame -> 4 messages (state up + action down, twice).
     assert report.messages_per_frame == pytest.approx(4.0)

@@ -8,22 +8,22 @@ cost constants, proposal statistics) is shared.
 
 Bit-exactness: every kernel accumulates in the same order as its scalar
 counterpart (stage costs sum left-to-right, utilisations divide before the
-``min`` clamp), and proposal noise draws one normal from each session's own
-generator so the per-session random streams are consumed exactly as the
-scalar environment consumes them.
+``min`` clamp), and proposal noise takes one normal per frame from each
+session's own generator (drawn ahead in blocks by
+:class:`~repro.workload.fleet.SessionNormals`) so the per-session random
+streams are consumed exactly as the scalar environment consumes them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from repro.errors import DetectorError
 from repro.detection.detector import DetectorModel
-from repro.rl.fused import fused_fleet
 from repro.detection.latency import DeviceComputeProfile
+from repro.workload.fleet import SessionNormals
 
 
 @dataclass(frozen=True)
@@ -92,14 +92,16 @@ def proposal_scale(detector: DetectorModel) -> float:
 def propose_batch(
     detector: DetectorModel,
     scene_candidates: np.ndarray,
-    rngs: Sequence[np.random.Generator],
+    noise: SessionNormals,
 ) -> np.ndarray:
     """Per-session RPN proposal counts, one noise draw per session stream.
 
-    Mirrors :meth:`~repro.detection.proposals.ProposalModel.sample`: the
-    normal draw comes from each session's own generator (keeping the
-    per-session random stream identical to a scalar run); the exp/clip/round
-    tail is evaluated as array operations.
+    Mirrors :meth:`~repro.detection.proposals.ProposalModel.sample`:
+    ``noise`` holds each session's own generator and must draw with the
+    detector's ``proposal_model.noise_std`` (keeping the per-session random
+    stream identical to a scalar run; it is asked for one frame of draws
+    only when that std is positive); the exp/clip/round tail is evaluated
+    as array operations.
     """
     if np.any(scene_candidates < 0):
         raise DetectorError("scene_candidates must be non-negative")
@@ -108,19 +110,7 @@ def propose_batch(
     model = detector.proposal_model
     factor = None
     if model.noise_std > 0:
-        draws = np.array(
-            [rng.normal(0.0, model.noise_std) for rng in rngs], dtype=float
-        )
-        factor = np.exp(draws)
-    kernel = fused_fleet()
-    if kernel is not None:
-        scene = np.ascontiguousarray(scene_candidates, dtype=float)
-        counts = np.empty(scene.size, dtype=np.int64)
-        kernel.fleet_proposal_tail(
-            scene, float(model.keep_ratio), factor,
-            float(model.min_proposals), float(model.max_proposals), counts,
-        )
-        return counts
+        factor = np.exp(noise.next().copy())
     expected = scene_candidates * model.keep_ratio
     if factor is not None:
         expected = expected * factor
@@ -149,18 +139,17 @@ class BatchedExecutionModel:
         latency_ms = cpu_ms + gpu_ms + self.profile.launch_overhead_ms
         # Degenerate zero-work segments (possible only with a zero launch
         # overhead) report an idle instant, as the scalar model does.
-        safe_latency = np.where(latency_ms > 0, latency_ms, 1.0)
+        positive = latency_ms > 0
+        safe_latency = np.where(positive, latency_ms, 1.0)
         cpu_busy = cpu_ms + self.profile.host_activity * gpu_ms
-        cpu_utilisation = np.where(
-            latency_ms > 0, np.minimum(1.0, cpu_busy / safe_latency), 0.0
-        )
-        gpu_utilisation = np.where(
-            latency_ms > 0, np.minimum(1.0, gpu_ms / safe_latency), 0.0
-        )
         return FleetSegment(
-            latency_ms=np.where(latency_ms > 0, latency_ms, 0.0),
-            cpu_busy_ms=np.where(latency_ms > 0, cpu_ms, 0.0),
-            gpu_busy_ms=np.where(latency_ms > 0, gpu_ms, 0.0),
-            cpu_utilisation=cpu_utilisation,
-            gpu_utilisation=gpu_utilisation,
+            latency_ms=np.where(positive, latency_ms, 0.0),
+            cpu_busy_ms=np.where(positive, cpu_ms, 0.0),
+            gpu_busy_ms=np.where(positive, gpu_ms, 0.0),
+            cpu_utilisation=np.where(
+                positive, np.minimum(1.0, cpu_busy / safe_latency), 0.0
+            ),
+            gpu_utilisation=np.where(
+                positive, np.minimum(1.0, gpu_ms / safe_latency), 0.0
+            ),
         )

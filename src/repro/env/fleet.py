@@ -7,7 +7,9 @@ of the scalar :class:`~repro.env.environment.InferenceEnvironment` over
 entry per session.  All sessions share one device model, detector and
 ambient profile; each session has its own frame stream, proposal-noise
 generator, thermal state, throttle state and frequency levels, held
-struct-of-arrays in a :class:`FleetState`.
+struct-of-arrays in a :class:`FleetState`.  The workload is one batched
+stream (:class:`~repro.workload.fleet.FleetFrameStream`) advancing every
+session in one array step.
 
 Seed-for-seed equivalence: session ``i`` of a fleet built from streams and
 generators seeded like scalar runs produces the *bit-identical* trace the
@@ -49,7 +51,6 @@ from repro.env.environment import (
     FrameResult,
     FrameStartObservation,
     MidFrameObservation,
-    StreamLike,
 )
 from repro.env.policy import Policy
 from repro.env.trace import (
@@ -62,6 +63,7 @@ from repro.env.trace import (
 )
 from repro.hardware.device import EdgeDevice
 from repro.hardware.fleet import DeviceFleet
+from repro.workload.fleet import FleetFrameStream, SessionNormals
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +78,8 @@ class FleetState:
     Attributes:
         device: Batched device state (temperatures, levels, throttle flags,
             energy) shared-model across the fleet.
-        streams: Per-session workload cursors (frame streams).
-        rngs: Per-session proposal-noise generators.
+        proposal_noise: Per-session proposal-noise draws (each session's
+            own generator, drawn ahead in blocks).
         previous_latency_ms: Last frame's total latency per session (``None``
             before the first frame; sessions advance lock-step).
         cpu_utilisation / gpu_utilisation: Utilisation observed during the
@@ -91,8 +93,7 @@ class FleetState:
     """
 
     device: DeviceFleet
-    streams: tuple
-    rngs: tuple
+    proposal_noise: SessionNormals
     previous_latency_ms: np.ndarray | None
     cpu_utilisation: np.ndarray
     gpu_utilisation: np.ndarray
@@ -739,12 +740,18 @@ class SessionAmbient:
     every session its own day/night cycle, ramp or zone schedule.  Element
     ``i`` is exactly what the scalar environment would compute for session
     ``i``'s own profile, preserving the seed-for-seed equivalence contract.
+    Each distinct profile *object* is evaluated once per call and its value
+    scattered to the sessions that share it (the sessions of one scenario
+    member share one profile object).
     """
 
     def __init__(self, profiles: Sequence[AmbientProfile]):
         if not profiles:
             raise ConfigurationError("need at least one ambient profile")
         self.profiles = tuple(profiles)
+        self._distinct = tuple({id(p): p for p in self.profiles}.values())
+        slot = {id(p): i for i, p in enumerate(self._distinct)}
+        self._slot = np.array([slot[id(p)] for p in self.profiles], dtype=np.intp)
 
     @property
     def num_sessions(self) -> int:
@@ -754,14 +761,14 @@ class SessionAmbient:
     def temperature_at(self, frame_index: int) -> np.ndarray:
         """Per-session ambient temperatures when processing ``frame_index``."""
         return np.array(
-            [profile.temperature_at(frame_index) for profile in self.profiles]
-        )
+            [profile.temperature_at(frame_index) for profile in self._distinct]
+        )[self._slot]
 
     def initial_temperature(self) -> np.ndarray:
         """Per-session ambient temperatures before the first frame."""
         return np.array(
-            [profile.initial_temperature() for profile in self.profiles]
-        )
+            [profile.initial_temperature() for profile in self._distinct]
+        )[self._slot]
 
 
 class _Phase(enum.Enum):
@@ -777,17 +784,17 @@ class BatchedInferenceEnvironment:
         device: Template edge device (shared description; per-session state
             lives in the fleet arrays).
         detector: Detector cost model all sessions run.
-        streams: The workload — either one scalar frame stream per session,
-            or a single batched stream exposing ``next_frames()`` (e.g.
-            :class:`repro.workload.fleet.FleetFrameStream`, the fast path
-            that avoids per-session Python dispatch).
+        streams: The workload: one
+            :class:`repro.workload.fleet.FleetFrameStream` advancing every
+            session in one array step.
         latency_constraint_ms: Default per-frame latency constraint.
         ambient: Ambient schedule — a single shared
             :class:`~repro.env.ambient.AmbientProfile` (frame-index driven;
             sessions are lock-step so they observe the same temperatures), a
             prepared :class:`SessionAmbient`, or a sequence of one profile
             per session (each session follows its own schedule).
-        rngs: Per-session proposal-noise generators; defaults to
+        rngs: Per-session proposal-noise generators, distinct objects
+            from each other and from the stream's; defaults to
             ``default_rng(i)``.
         throttle_threshold_c: Temperature threshold exposed to controllers.
         idle_between_frames_ms: Idle gap inserted between frames.
@@ -797,7 +804,7 @@ class BatchedInferenceEnvironment:
         self,
         device: EdgeDevice,
         detector: DetectorModel,
-        streams: "Sequence[StreamLike] | object",
+        streams: FleetFrameStream,
         latency_constraint_ms: float,
         ambient: "AmbientProfile | SessionAmbient | Sequence[AmbientProfile] | None" = None,
         rngs: Sequence[np.random.Generator] | None = None,
@@ -808,19 +815,21 @@ class BatchedInferenceEnvironment:
             raise ConfigurationError("latency_constraint_ms must be positive")
         if idle_between_frames_ms < 0:
             raise ConfigurationError("idle_between_frames_ms must be non-negative")
-        self._batched_stream = streams if hasattr(streams, "next_frames") else None
-        if self._batched_stream is not None:
-            num_sessions = self._batched_stream.num_sessions
-            streams = ()
-        else:
-            if not streams:
-                raise ConfigurationError("need at least one stream (one per session)")
-            num_sessions = len(streams)
+        if not isinstance(streams, FleetFrameStream):
+            raise ConfigurationError(
+                "streams must be a batched fleet stream (FleetFrameStream)"
+            )
+        self._stream = streams
+        num_sessions = streams.num_sessions
         if rngs is None:
             rngs = [np.random.default_rng(i) for i in range(num_sessions)]
         if len(rngs) != num_sessions:
             raise ConfigurationError(
                 f"got {len(rngs)} generators for {num_sessions} sessions"
+            )
+        if {id(rng) for rng in rngs} & {id(rng) for rng in streams.rngs}:
+            raise ConfigurationError(
+                "proposal and stream generators must be distinct objects"
             )
         self.device = device
         self.detector = detector
@@ -854,8 +863,7 @@ class BatchedInferenceEnvironment:
         n = num_sessions
         self.state = FleetState(
             device=fleet,
-            streams=tuple(streams),
-            rngs=tuple(rngs),
+            proposal_noise=SessionNormals(rngs, detector.proposal_model.noise_std),
             previous_latency_ms=None,
             cpu_utilisation=np.zeros(n),
             gpu_utilisation=np.zeros(n),
@@ -901,9 +909,10 @@ class BatchedInferenceEnvironment:
 
         Captures everything the next :meth:`begin_frame` →
         :meth:`run_second_stage` cycle reads — device state, workload
-        cursors, proposal generators, the previous frame's latency and
-        utilisation feedback, and the frame counter — so a restored
-        environment continues bit-identically to an uninterrupted one.
+        cursors, proposal generators with their drawn-ahead noise, the
+        previous frame's latency and utilisation feedback, and the frame
+        counter — so a restored environment continues bit-identically to
+        an uninterrupted one.
         Only valid between frames (phase ``idle``); per-frame transients
         are rebuilt by the next frame and need not be captured.
         """
@@ -912,17 +921,15 @@ class BatchedInferenceEnvironment:
                 f"state_dict is only valid at a frame boundary, not in phase "
                 f"{self._phase.value!r}"
             )
-        if self._batched_stream is None:
-            raise ExperimentError(
-                "state_dict requires a batched fleet stream (FleetFrameStream)"
-            )
         state = self.state
+        noise = state.proposal_noise.state_dict()
         return {
             "num_sessions": int(self.num_sessions),
             "frame_index": int(self._frame_index),
             "device": state.device.state_dict(),
-            "stream": self._batched_stream.state_dict(),
-            "rngs": [rng.bit_generator.state for rng in state.rngs],
+            "stream": self._stream.state_dict(),
+            "rngs": noise["rngs"],
+            "pending_proposal_draws": noise["pending"],
             "previous_latency_ms": (
                 None
                 if state.previous_latency_ms is None
@@ -945,15 +952,12 @@ class BatchedInferenceEnvironment:
                 f"snapshot was captured from a {payload['num_sessions']}-session "
                 f"environment but this one drives {self.num_sessions} sessions"
             )
-        if self._batched_stream is None:
-            raise ExperimentError(
-                "load_state_dict requires a batched fleet stream (FleetFrameStream)"
-            )
         state = self.state
         state.device.load_state_dict(payload["device"])
-        self._batched_stream.load_state_dict(payload["stream"])
-        for rng, rng_state in zip(state.rngs, payload["rngs"]):
-            rng.bit_generator.state = rng_state
+        self._stream.load_state_dict(payload["stream"])
+        state.proposal_noise.load_state_dict(
+            {"rngs": payload["rngs"], "pending": payload.get("pending_proposal_draws")}
+        )
         state.previous_latency_ms = (
             None
             if payload["previous_latency_ms"] is None
@@ -992,40 +996,20 @@ class BatchedInferenceEnvironment:
         state = self.state
         state.device.set_ambient(self.ambient.temperature_at(self._frame_index))
         default_constraint = self.default_latency_constraint_ms
-        if self._batched_stream is not None:
-            batch = self._batched_stream.next_frames()
-            image_scale = batch.image_scale
-            candidates = batch.scene_candidates
-            if batch.latency_constraint_ms is None:
-                constraint = np.full(self.num_sessions, default_constraint)
-            else:
-                constraint = batch.latency_constraint_ms
-                unset = np.isnan(constraint)
-                if unset.any():
-                    # NaN entries mark sessions without a per-session
-                    # override; they fall back to the experiment default.
-                    constraint = np.where(unset, default_constraint, constraint)
-            datasets = batch.datasets
+        batch = self._stream.next_frames()
+        if batch.latency_constraint_ms is None:
+            constraint = np.full(self.num_sessions, default_constraint)
         else:
-            image_scale = np.empty(self.num_sessions)
-            candidates = np.empty(self.num_sessions)
-            constraint = np.empty(self.num_sessions)
-            names = []
-            for i, stream in enumerate(state.streams):
-                frame = stream.next_frame()
-                image_scale[i] = frame.image_scale
-                candidates[i] = frame.scene_candidates
-                constraint[i] = (
-                    frame.latency_constraint_ms
-                    if frame.latency_constraint_ms is not None
-                    else default_constraint
-                )
-                names.append(frame.dataset)
-            datasets = tuple(names)
-        state.image_scale = image_scale
-        state.scene_candidates = candidates
+            constraint = batch.latency_constraint_ms
+            unset = np.isnan(constraint)
+            if unset.any():
+                # NaN entries mark sessions without a per-session
+                # override; they fall back to the experiment default.
+                constraint = np.where(unset, default_constraint, constraint)
+        state.image_scale = batch.image_scale
+        state.scene_candidates = batch.scene_candidates
         state.constraint_ms = constraint
-        state.datasets = datasets
+        state.datasets = batch.datasets
         state.frame_energy_j = np.zeros(self.num_sessions)
         self._phase = _Phase.STARTED
         device = state.device
@@ -1069,7 +1053,7 @@ class BatchedInferenceEnvironment:
         state.cpu_utilisation = segment.cpu_utilisation
         state.gpu_utilisation = segment.gpu_utilisation
         state.num_proposals = propose_batch(
-            self.detector, state.scene_candidates, state.rngs
+            self.detector, state.scene_candidates, state.proposal_noise
         )
         self._phase = _Phase.AFTER_STAGE1
         return FleetMidObservation(

@@ -20,6 +20,14 @@ subtlety is leakage power, where ``math.exp`` is evaluated per session
 (NumPy's vectorized ``exp`` differs from libm by an ULP on ~4 % of inputs,
 which would break seed-for-seed trace equivalence).
 
+When the fused kernels are available (:func:`repro.rl.fused.fused_fleet`)
+a whole :meth:`DeviceFleet.execute` step — power, RC sub-stepping,
+throttling, caps and energy — is one C call whose pointers are bound when
+the fleet is built.  The fleet's state arrays are therefore persistent:
+every update writes into them in place, never rebinds them.  The NumPy
+path below stays as the ``REPRO_FUSED=0`` path and as the oracle the
+kernel's load-time self-test is checked against.
+
 All sessions share one device *description*; heterogeneous-hardware fleets
 run one ``DeviceFleet`` per device group (the grouped sub-fleet path built
 by :func:`repro.runtime.fleet.run_fleet_scenario`), with per-session
@@ -37,7 +45,7 @@ import numpy as np
 
 from repro.errors import DeviceError
 from repro.hardware.device import CPU_NODE, GPU_NODE, EdgeDevice
-from repro.rl.fused import fused_fleet
+from repro.rl.fused import FleetDevicePlan, FleetDomainPlan, fused_fleet
 from repro.hardware.frequency import FrequencyTable
 from repro.hardware.power import PowerModel
 from repro.hardware.throttle import ThrottleConfig
@@ -130,14 +138,14 @@ class _ThrottlerArrays:
         """Advance the hysteresis state machine; returns the throttled mask."""
         released = self.throttled & (temperature_c <= self.release_temperature_c)
         engaged = ~self.throttled & (temperature_c >= self.trip_temperature_c)
-        self.throttled = (self.throttled & ~released) | engaged
+        self.throttled[...] = (self.throttled & ~released) | engaged
         self.engage_count += engaged
         return self.throttled.copy()
 
-    def cap_levels(self, requested: np.ndarray) -> np.ndarray:
-        return np.where(
-            self.throttled, np.minimum(requested, self.throttled_level), requested
-        )
+    def cap_levels(self, requested: np.ndarray, out: np.ndarray) -> None:
+        """Write the capped ``requested`` levels into ``out``."""
+        out[...] = requested
+        np.minimum(out, self.throttled_level, out=out, where=self.throttled)
 
 
 class DeviceFleet:
@@ -189,27 +197,20 @@ class DeviceFleet:
             for (a, b), conductance in thermal.couplings.items()
         ]
         self.max_substep_s = thermal.max_substep_s
-        # Flat coupling tables and work buffers for the fused thermal kernel
-        # (kept even when the kernel is unavailable: they are tiny).
-        self._coup_a = np.array([a for a, _, _ in self._couplings], dtype=np.int64)
-        self._coup_b = np.array([b for _, b, _ in self._couplings], dtype=np.int64)
-        self._coup_c = np.array([c for _, _, c in self._couplings], dtype=float)
-        self._dt_scratch = np.empty(num_sessions)
-        self._deltas_scratch = np.empty((len(self._node_names), num_sessions))
 
         self._cpu_throttler = _ThrottlerArrays(template.cpu_throttle, num_sessions)
         self._gpu_throttler = _ThrottlerArrays(template.gpu_throttle, num_sessions)
         self.cpu_throttle = template.cpu_throttle
         self.gpu_throttle = template.gpu_throttle
 
-        ambient = (
+        # Persistent state: updated in place only, because the fused step
+        # holds the addresses of these arrays.
+        self.ambient_temperature_c = np.empty(num_sessions)
+        self.set_ambient(
             ambient_temperature_c
             if ambient_temperature_c is not None
             else thermal.ambient_temperature_c
         )
-        self.ambient_temperature_c = np.broadcast_to(
-            np.asarray(ambient, dtype=float), (num_sessions,)
-        ).copy()
         self._temperatures = np.zeros((len(self._node_names), num_sessions))
         self._requested_cpu_level = np.zeros(num_sessions, dtype=np.int64)
         self._requested_gpu_level = np.zeros(num_sessions, dtype=np.int64)
@@ -218,15 +219,105 @@ class DeviceFleet:
         self.total_energy_j = np.zeros(num_sessions)
         self.elapsed_ms = np.zeros(num_sessions)
         self.reset()
+        self._step = None
+        kernel = fused_fleet()
+        if kernel is not None:
+            self._bind_kernel(kernel)
+
+    def _bind_kernel(self, kernel) -> None:
+        """Bind the fused device step to this fleet's arrays.
+
+        Besides the persistent state, the step reads three input buffers
+        (duration, utilisations) and writes three outputs (powers, energy)
+        that :meth:`execute` fills and copies out; the coupling tables and
+        sub-stepping scratch are allocated here and kept alive with them.
+        """
+        n = self.num_sessions
+        self._duration = np.zeros(n)
+        self._cpu_utilisation = np.zeros(n)
+        self._gpu_utilisation = np.zeros(n)
+        self._cpu_power = np.zeros(n)
+        self._gpu_power = np.zeros(n)
+        self._energy = np.zeros(n)
+        coup_a = np.array([a for a, _, _ in self._couplings], dtype=np.int64)
+        coup_b = np.array([b for _, b, _ in self._couplings], dtype=np.int64)
+        coup_c = np.array([c for _, _, c in self._couplings], dtype=float)
+        remaining, dt, deltas = np.zeros(n), np.zeros(n), np.zeros_like(self._temperatures)
+        self._kernel_buffers = (coup_a, coup_b, coup_c, remaining, dt, deltas)
+
+        def address(array: np.ndarray) -> int:
+            return array.ctypes.data
+
+        def domain(tables, throttler, node, utilisation, requested, level, power):
+            return FleetDomainPlan(
+                frequency_khz=address(tables.frequency_khz),
+                voltage_sq_mv=address(tables.voltage_sq_mv),
+                idle_power=tables.idle_power_w,
+                leakage_power=tables.leakage_power_w,
+                leak_coef=tables.leakage_temp_coefficient,
+                leak_ref=tables.leakage_reference_temp_c,
+                eff_cap=tables.effective_capacitance,
+                trip=throttler.trip_temperature_c,
+                release=throttler.release_temperature_c,
+                throttled_level=throttler.throttled_level,
+                node=node,
+                utilisation=address(utilisation),
+                requested=address(requested),
+                level=address(level),
+                throttled=address(throttler.throttled),
+                engage_count=address(throttler.engage_count),
+                power=address(power),
+            )
+
+        plan = FleetDevicePlan(
+            nodes=len(self._node_names),
+            n=n,
+            ncoup=coup_c.size,
+            max_substep=self.max_substep_s,
+            resistance=address(self._resistance),
+            heat_capacity=address(self._heat_capacity),
+            ca=address(coup_a),
+            cb=address(coup_b),
+            cc=address(coup_c),
+            temps=address(self._temperatures),
+            ambient=address(self.ambient_temperature_c),
+            duration=address(self._duration),
+            remaining=address(remaining),
+            dt=address(dt),
+            deltas=address(deltas),
+            energy=address(self._energy),
+            total_energy=address(self.total_energy_j),
+            elapsed=address(self.elapsed_ms),
+            cpu=domain(
+                self.cpu, self._cpu_throttler, self._cpu_node, self._cpu_utilisation,
+                self._requested_cpu_level, self.cpu_level, self._cpu_power,
+            ),
+            gpu=domain(
+                self.gpu, self._gpu_throttler, self._gpu_node, self._gpu_utilisation,
+                self._requested_gpu_level, self.gpu_level, self._gpu_power,
+            ),
+        )
+        self._step = kernel.bind_device_step(plan)
+
+    def __getstate__(self) -> dict:
+        # The bound step addresses this object's arrays: a copy or an
+        # unpickled fleet binds its own.
+        state = dict(self.__dict__)
+        state["_step"] = None
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        kernel = fused_fleet()
+        if kernel is not None:
+            self._bind_kernel(kernel)
 
     # -- lifecycle ----------------------------------------------------------------
 
     def reset(self, ambient_temperature_c: float | np.ndarray | None = None) -> None:
         """Return every session to a cold, un-throttled, max-frequency state."""
         if ambient_temperature_c is not None:
-            self.ambient_temperature_c = np.broadcast_to(
-                np.asarray(ambient_temperature_c, dtype=float), (self.num_sessions,)
-            ).copy()
+            self.set_ambient(ambient_temperature_c)
         for row, initial in enumerate(self._initial_temperature):
             self._temperatures[row] = (
                 initial if initial is not None else self.ambient_temperature_c
@@ -279,9 +370,9 @@ class DeviceFleet:
 
     def set_ambient(self, ambient_temperature_c: float | np.ndarray) -> None:
         """Change the ambient temperature (scalar broadcasts to the fleet)."""
-        self.ambient_temperature_c = np.broadcast_to(
+        self.ambient_temperature_c[...] = np.broadcast_to(
             np.asarray(ambient_temperature_c, dtype=float), (self.num_sessions,)
-        ).copy()
+        )
 
     # -- checkpointing --------------------------------------------------------------
 
@@ -319,7 +410,7 @@ class DeviceFleet:
                 f"snapshot was captured from a {payload['num_sessions']}-session "
                 f"fleet but this fleet drives {self.num_sessions} sessions"
             )
-        self.ambient_temperature_c = np.array(payload["ambient_temperature_c"], dtype=float)
+        self.ambient_temperature_c[:] = payload["ambient_temperature_c"]
         self._temperatures[:] = payload["temperatures"]
         self._cpu_throttler.throttled[:] = payload["cpu_throttled"]
         self._cpu_throttler.engage_count[:] = payload["cpu_engage_count"]
@@ -341,43 +432,38 @@ class DeviceFleet:
         mask: np.ndarray | None = None,
     ) -> None:
         """Request frequency levels; ``mask`` limits which sessions change."""
-        cpu_levels = np.broadcast_to(
-            np.asarray(cpu_levels, dtype=np.int64), (self.num_sessions,)
-        )
-        gpu_levels = np.broadcast_to(
-            np.asarray(gpu_levels, dtype=np.int64), (self.num_sessions,)
-        )
+        n = self.num_sessions
+        cpu_levels = np.asarray(cpu_levels, dtype=np.int64)
+        gpu_levels = np.asarray(gpu_levels, dtype=np.int64)
+        if cpu_levels.shape != (n,):
+            cpu_levels = np.broadcast_to(cpu_levels, (n,))
+        if gpu_levels.shape != (n,):
+            gpu_levels = np.broadcast_to(gpu_levels, (n,))
         if mask is None:
             check_cpu, check_gpu = cpu_levels, gpu_levels
         else:
             check_cpu, check_gpu = cpu_levels[mask], gpu_levels[mask]
-        if check_cpu.size and (
-            check_cpu.min() < 0 or check_cpu.max() >= self.cpu.num_levels
-        ):
+        # One reduction per domain: viewed unsigned, a negative level is
+        # larger than any level count.
+        if check_cpu.size and check_cpu.view(np.uint64).max() >= self.cpu.num_levels:
             raise DeviceError(
                 f"cpu level out of range [0, {self.cpu.num_levels - 1}]"
             )
-        if check_gpu.size and (
-            check_gpu.min() < 0 or check_gpu.max() >= self.gpu.num_levels
-        ):
+        if check_gpu.size and check_gpu.view(np.uint64).max() >= self.gpu.num_levels:
             raise DeviceError(
                 f"gpu level out of range [0, {self.gpu.num_levels - 1}]"
             )
         if mask is None:
-            self._requested_cpu_level = cpu_levels.copy()
-            self._requested_gpu_level = gpu_levels.copy()
+            self._requested_cpu_level[...] = cpu_levels
+            self._requested_gpu_level[...] = gpu_levels
         else:
-            self._requested_cpu_level = np.where(
-                mask, cpu_levels, self._requested_cpu_level
-            )
-            self._requested_gpu_level = np.where(
-                mask, gpu_levels, self._requested_gpu_level
-            )
+            np.copyto(self._requested_cpu_level, cpu_levels, where=mask)
+            np.copyto(self._requested_gpu_level, gpu_levels, where=mask)
         self._apply_caps()
 
     def _apply_caps(self) -> None:
-        self.cpu_level = self._cpu_throttler.cap_levels(self._requested_cpu_level)
-        self.gpu_level = self._gpu_throttler.cap_levels(self._requested_gpu_level)
+        self._cpu_throttler.cap_levels(self._requested_cpu_level, self.cpu_level)
+        self._gpu_throttler.cap_levels(self._requested_gpu_level, self.gpu_level)
 
     # -- execution --------------------------------------------------------------------
 
@@ -399,16 +485,6 @@ class DeviceFleet:
         power[self._cpu_node] = cpu_power_w
         power[self._gpu_node] = gpu_power_w
         remaining = duration_ms / 1e3
-        kernel = fused_fleet()
-        if kernel is not None:
-            kernel.fleet_thermal_advance(
-                self._temperatures, power, self.ambient_temperature_c,
-                self._resistance, self._heat_capacity,
-                self._coup_a, self._coup_b, self._coup_c,
-                remaining, self.max_substep_s,
-                self._dt_scratch, self._deltas_scratch,
-            )
-            return
         temps = self._temperatures
         while True:
             active = remaining > 1e-12
@@ -442,8 +518,29 @@ class DeviceFleet:
         The vectorized counterpart of :meth:`EdgeDevice.execute`: powers are
         computed at pre-segment temperatures, the thermal network advances,
         throttlers re-evaluate and the (possibly capped) levels are
-        re-applied.
+        re-applied — in one fused call when the kernel is bound.
         """
+        step = self._step
+        if step is not None:
+            duration = self._duration
+            duration[...] = duration_ms
+            if np.any(duration < 0):
+                raise DeviceError("durations must be non-negative")
+            self._cpu_utilisation[...] = cpu_utilisation
+            self._gpu_utilisation[...] = gpu_utilisation
+            step()
+            return FleetTelemetry(
+                cpu_temperature_c=self.cpu_temperature_c.copy(),
+                gpu_temperature_c=self.gpu_temperature_c.copy(),
+                cpu_level=self.cpu_level.copy(),
+                gpu_level=self.gpu_level.copy(),
+                cpu_power_w=self._cpu_power.copy(),
+                gpu_power_w=self._gpu_power.copy(),
+                energy_j=self._energy.copy(),
+                cpu_throttled=self._cpu_throttler.throttled.copy(),
+                gpu_throttled=self._gpu_throttler.throttled.copy(),
+                duration_ms=duration.copy(),
+            )
         duration_ms = np.broadcast_to(
             np.asarray(duration_ms, dtype=float), (self.num_sessions,)
         )

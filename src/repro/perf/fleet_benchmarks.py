@@ -49,6 +49,7 @@ from repro.hardware.devices.registry import build_device
 from repro.hardware.fleet import DeviceFleet
 from repro.perf.timer import BenchReport, measure
 from repro.runtime.fleet import make_fleet_environment, make_fleet_policy
+from repro.workload.fleet import SessionNormals
 
 #: Default report filename; the label tracks the PR that recorded it.
 BENCH_LABEL = "PR3"
@@ -178,12 +179,15 @@ def bench_fleet_proposals(
     """Proposal sampling: batched exp/clip tail vs. the scalar loop."""
     detector = build_detector("faster_rcnn")
     candidates = np.random.default_rng(6).uniform(20.0, 400.0, size=fleet_size)
-    batched_rngs = [np.random.default_rng(i) for i in range(fleet_size)]
+    noise = SessionNormals(
+        [np.random.default_rng(i) for i in range(fleet_size)],
+        detector.proposal_model.noise_std,
+    )
     scalar_rngs = [np.random.default_rng(i) for i in range(fleet_size)]
 
     current = measure(
         f"fleet_proposals_{fleet_size}",
-        lambda: propose_batch(detector, candidates, batched_rngs),
+        lambda: propose_batch(detector, candidates, noise),
         iterations=iterations,
         repeats=repeats,
     )

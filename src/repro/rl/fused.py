@@ -15,15 +15,14 @@ bias corrections, bias-add + ReLU, the double-DQN pair-target tail, the
 Huber gather/scatter and the ReLU backward mask.
 
 The same library also carries the batched *fleet* kernels (see
-:func:`fused_fleet`): RC thermal sub-stepping
-(:meth:`~repro.hardware.fleet.DeviceFleet.advance_thermal`), the AR(1)
-scene-complexity advance (:meth:`~repro.workload.fleet.FleetFrameStream.
-next_frames`), the proposal-count rint/clip tail
-(:func:`~repro.detection.fleet.propose_batch`) and the bias-add + ReLU of
-the stacked Q forward (:class:`~repro.rl.slimmable.SlimmableMLP`).  Random
-draws and transcendentals (``exp``) stay in NumPy — libm need not match
-NumPy's vectorized routines bit for bit — so each kernel covers only the
-elementwise tail whose C arithmetic is exactly reproducible.
+:func:`fused_fleet`): the whole device step of
+:meth:`~repro.hardware.fleet.DeviceFleet.execute` (power, RC thermal
+sub-stepping, throttling, caps and energy in one call whose pointers are
+bound once per fleet) and the bias-add + ReLU of the stacked Q forward
+(:class:`~repro.rl.slimmable.SlimmableMLP`).  Random draws stay in NumPy,
+and so does every vectorized ``exp`` — NumPy's SIMD routines need not
+match libm bit for bit; the device step's leakage ``exp`` is libm's, the
+function the scalar model's ``math.exp`` calls.
 
 Safety model: the kernel is used only if (a) a C compiler is available,
 (b) compilation succeeds, and (c) a load-time self-test reproduces the
@@ -43,6 +42,7 @@ import hashlib
 import os
 import subprocess
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -149,97 +149,139 @@ void row_sumsq(long nrows, long n, const double *x, double *out) {
 
 /* ---- batched fleet kernels --------------------------------------------- */
 
-/* RC thermal sub-stepping over a (nodes x n) fleet temperature matrix,
-   mirroring DeviceFleet.advance_thermal exactly:
+/* One whole DeviceFleet.execute step over n sessions, in place, mirroring
+   the NumPy path of repro.hardware.fleet exactly.  Every pointer is bound
+   once per fleet (the fleet's state arrays never move), so a step is one
+   call with one argument.  Per session j:
 
-     while any(remaining > 1e-12):
-         dt      = active ? min(max_substep, remaining) : 0      per session
-         deltas  = ((power - (T - ambient)/R) - coupled) / C * dt
-                   -- ALL rows from pre-step temps (two-pass via scratch)
-         T      += deltas;  remaining -= dt
+     u      = minimum(maximum(util, 0), 1)                      per domain
+     power  = (idle + ((cap * vsq[lvl]) * freq[lvl]) * u)
+              + leak * exp(minimum(coef * (T - ref), 4))         pre-step T
+     RC sub-stepping of the (nodes x n) temperatures, exactly as
+       while any(remaining > 1e-12):
+           dt      = active ? min(max_substep, remaining) : 0
+           deltas  = ((power - (T - ambient)/R) - coupled) / C * dt
+                     -- ALL rows from pre-step temps (two-pass via scratch)
+           T      += deltas;  remaining -= dt
+     with couplings visited in list order per row (first as node_a, then
+     as node_b) and zero power on rows that are neither cpu nor gpu;
+     throttler hysteresis on the post-step temperatures (release at
+     T <= release, engage at T >= trip, counting engagements);
+     level  = throttled ? minimum(requested, throttled_level) : requested
+     energy = (cpu_power + gpu_power) * (duration / 1e3); totals += ...
 
-   Couplings are visited in list order per row (first as node_a, then as
-   node_b), accumulating `coupled = coupled + c * (T_row - T_other)` in the
-   same addition order as the NumPy loop.  Sessions that finish early take
-   zero-length sub-steps until the longest-running session completes. */
-void fleet_thermal_advance(long nodes, long n, double *temps,
-                           const double *power, const double *ambient,
-                           const double *resistance,
-                           const double *heat_capacity,
-                           long ncoup, const long *ca, const long *cb,
-                           const double *cc, double *remaining,
-                           double max_substep, double *dt, double *deltas) {
+   exp() is libm's, the function math.exp calls, so leakage rounds exactly
+   like the scalar model's per-session math.exp.  minimum/maximum keep
+   NumPy's NaN propagation (`a <= b || isnan(a) ? a : b`). */
+typedef struct {
+    const double *frequency_khz;
+    const double *voltage_sq_mv;
+    double idle_power, leakage_power, leak_coef, leak_ref, eff_cap;
+    double trip, release;
+    long long throttled_level;
+    long node;
+    const double *utilisation;
+    const long long *requested;
+    long long *level;
+    unsigned char *throttled;
+    long long *engage_count;
+    double *power;
+} fleet_domain;
+
+typedef struct {
+    long nodes, n, ncoup;
+    double max_substep;
+    const double *resistance, *heat_capacity;
+    const long *ca, *cb;
+    const double *cc;
+    double *temps;
+    const double *ambient;
+    const double *duration;
+    double *remaining, *dt, *deltas;
+    double *energy, *total_energy, *elapsed;
+    fleet_domain cpu, gpu;
+} fleet_device;
+
+static void domain_power(const fleet_domain *d, const double *temps, long n) {
+    const double *t = temps + d->node * n;
+    for (long j = 0; j < n; j++) {
+        double u = d->utilisation[j];
+        u = (u >= 0.0 || isnan(u)) ? u : 0.0;
+        u = (u <= 1.0 || isnan(u)) ? u : 1.0;
+        long long lvl = d->level[j];
+        double dynamic = ((d->eff_cap * d->voltage_sq_mv[lvl])
+                          * d->frequency_khz[lvl]) * u;
+        double x = d->leak_coef * (t[j] - d->leak_ref);
+        x = (x <= 4.0 || isnan(x)) ? x : 4.0;
+        d->power[j] = (d->idle_power + dynamic) + d->leakage_power * exp(x);
+    }
+}
+
+static void domain_throttle(fleet_domain *d, const double *temps, long n) {
+    const double *t = temps + d->node * n;
+    for (long j = 0; j < n; j++) {
+        unsigned char th = d->throttled[j];
+        if (th) {
+            if (t[j] <= d->release) th = 0;
+        } else if (t[j] >= d->trip) {
+            th = 1;
+            d->engage_count[j] += 1;
+        }
+        d->throttled[j] = th;
+        long long r = d->requested[j];
+        d->level[j] = (th && d->throttled_level < r) ? d->throttled_level : r;
+    }
+}
+
+void fleet_device_step(fleet_device *f) {
+    long nodes = f->nodes, n = f->n;
+    double *temps = f->temps;
+    domain_power(&f->cpu, temps, n);
+    domain_power(&f->gpu, temps, n);
+    for (long j = 0; j < n; j++) f->remaining[j] = f->duration[j] / 1e3;
     for (;;) {
         int any_active = 0;
         for (long j = 0; j < n; j++) {
-            double rem = remaining[j];
+            double rem = f->remaining[j];
             if (rem > 1e-12) {
                 any_active = 1;
-                dt[j] = max_substep < rem ? max_substep : rem;
+                f->dt[j] = f->max_substep < rem ? f->max_substep : rem;
             } else {
-                dt[j] = 0.0;
+                f->dt[j] = 0.0;
             }
         }
         if (!any_active) break;
         for (long r = 0; r < nodes; r++) {
             const double *tr = temps + r * n;
-            const double *pr = power + r * n;
-            double *dr = deltas + r * n;
-            double res = resistance[r];
-            double hc = heat_capacity[r];
+            const double *pr = r == f->gpu.node ? f->gpu.power
+                             : r == f->cpu.node ? f->cpu.power : 0;
+            double *dr = f->deltas + r * n;
+            double res = f->resistance[r];
+            double hc = f->heat_capacity[r];
             for (long j = 0; j < n; j++) {
-                double to_ambient = (tr[j] - ambient[j]) / res;
+                double to_ambient = (tr[j] - f->ambient[j]) / res;
                 double coupled = 0.0;
-                for (long k = 0; k < ncoup; k++) {
-                    if (ca[k] == r) {
-                        coupled = coupled + cc[k] * (tr[j] - temps[cb[k] * n + j]);
-                    } else if (cb[k] == r) {
-                        coupled = coupled + cc[k] * (tr[j] - temps[ca[k] * n + j]);
+                for (long k = 0; k < f->ncoup; k++) {
+                    if (f->ca[k] == r) {
+                        coupled = coupled + f->cc[k] * (tr[j] - temps[f->cb[k] * n + j]);
+                    } else if (f->cb[k] == r) {
+                        coupled = coupled + f->cc[k] * (tr[j] - temps[f->ca[k] * n + j]);
                     }
                 }
-                double net_flow = (pr[j] - to_ambient) - coupled;
-                dr[j] = (net_flow / hc) * dt[j];
+                double net_flow = ((pr ? pr[j] : 0.0) - to_ambient) - coupled;
+                dr[j] = (net_flow / hc) * f->dt[j];
             }
         }
-        for (long i = 0; i < nodes * n; i++) {
-            temps[i] += deltas[i];
-        }
-        for (long j = 0; j < n; j++) {
-            remaining[j] -= dt[j];
-        }
+        for (long i = 0; i < nodes * n; i++) temps[i] += f->deltas[i];
+        for (long j = 0; j < n; j++) f->remaining[j] -= f->dt[j];
     }
-}
-
-/* One AR(1) step per session, in place:
-     v = (mean + corr * (current - mean)) + innovation; clip to [lo, hi]
-   Clip as minimum(maximum(v, lo), hi) with NumPy's `in1 >= in2 ? in1 : in2`
-   tie handling. */
-void fleet_ar1_advance(long n, double *current, const double *mean,
-                       const double *corr, const double *innov,
-                       const double *lo, const double *hi) {
-    for (long i = 0; i < n; i++) {
-        double v = (mean[i] + corr[i] * (current[i] - mean[i])) + innov[i];
-        v = v >= lo[i] ? v : lo[i];   /* maximum(v, lo) */
-        v = v <= hi[i] ? v : hi[i];   /* minimum(., hi) */
-        current[i] = v;
-    }
-}
-
-/* Proposal-count tail: expected = scene * keep_ratio [* noise_factor],
-   counts = clip(rint(expected), min_p, max_p) as int64.  The noise factor
-   (exp of the per-session draws) is computed by NumPy and passed in; C
-   rint() under the default rounding mode is round-half-to-even, exactly
-   np.rint.  The final cast is exact: the clipped value is integral. */
-void fleet_proposal_tail(long n, const double *scene, double keep_ratio,
-                         long has_factor, const double *factor,
-                         double min_p, double max_p, long long *out) {
-    for (long i = 0; i < n; i++) {
-        double e = scene[i] * keep_ratio;
-        if (has_factor) e = e * factor[i];
-        double r = rint(e);
-        r = r >= min_p ? r : min_p;
-        r = r <= max_p ? r : max_p;
-        out[i] = (long long)r;
+    domain_throttle(&f->cpu, temps, n);
+    domain_throttle(&f->gpu, temps, n);
+    for (long j = 0; j < n; j++) {
+        double e = (f->cpu.power[j] + f->gpu.power[j]) * (f->duration[j] / 1e3);
+        f->energy[j] = e;
+        f->total_energy[j] += e;
+        f->elapsed[j] += f->duration[j];
     }
 }
 
@@ -393,6 +435,61 @@ class RowsPlan:
         self.vs = vs
 
 
+class FleetDomainPlan(ctypes.Structure):
+    """One frequency domain of a :class:`FleetDevicePlan` (the C
+    ``fleet_domain``): power constants, throttle thresholds and the
+    addresses of the domain's per-session arrays."""
+
+    _fields_ = [
+        ("frequency_khz", ctypes.c_void_p),
+        ("voltage_sq_mv", ctypes.c_void_p),
+        ("idle_power", ctypes.c_double),
+        ("leakage_power", ctypes.c_double),
+        ("leak_coef", ctypes.c_double),
+        ("leak_ref", ctypes.c_double),
+        ("eff_cap", ctypes.c_double),
+        ("trip", ctypes.c_double),
+        ("release", ctypes.c_double),
+        ("throttled_level", ctypes.c_longlong),
+        ("node", ctypes.c_long),
+        ("utilisation", ctypes.c_void_p),
+        ("requested", ctypes.c_void_p),
+        ("level", ctypes.c_void_p),
+        ("throttled", ctypes.c_void_p),
+        ("engage_count", ctypes.c_void_p),
+        ("power", ctypes.c_void_p),
+    ]
+
+
+class FleetDevicePlan(ctypes.Structure):
+    """Everything one :c:func:`fleet_device_step` call reads or writes (the
+    C ``fleet_device``): dimensions, thermal constants and the addresses of
+    the fleet's persistent state, input, output and scratch arrays."""
+
+    _fields_ = [
+        ("nodes", ctypes.c_long),
+        ("n", ctypes.c_long),
+        ("ncoup", ctypes.c_long),
+        ("max_substep", ctypes.c_double),
+        ("resistance", ctypes.c_void_p),
+        ("heat_capacity", ctypes.c_void_p),
+        ("ca", ctypes.c_void_p),
+        ("cb", ctypes.c_void_p),
+        ("cc", ctypes.c_void_p),
+        ("temps", ctypes.c_void_p),
+        ("ambient", ctypes.c_void_p),
+        ("duration", ctypes.c_void_p),
+        ("remaining", ctypes.c_void_p),
+        ("dt", ctypes.c_void_p),
+        ("deltas", ctypes.c_void_p),
+        ("energy", ctypes.c_void_p),
+        ("total_energy", ctypes.c_void_p),
+        ("elapsed", ctypes.c_void_p),
+        ("cpu", FleetDomainPlan),
+        ("gpu", FleetDomainPlan),
+    ]
+
+
 class _FusedAdam:
     """ctypes wrapper around the compiled kernels.
 
@@ -424,14 +521,7 @@ class _FusedAdam:
         )
         self._relu_mask = bind("relu_mask", long_, ptr, ptr)
         self._row_sumsq = bind("row_sumsq", long_, long_, ptr, ptr)
-        self._fleet_thermal = bind(
-            "fleet_thermal_advance", long_, long_, ptr, ptr, ptr, ptr, ptr,
-            long_, ptr, ptr, ptr, ptr, double, ptr, ptr,
-        )
-        self._fleet_ar1 = bind("fleet_ar1_advance", long_, ptr, ptr, ptr, ptr, ptr, ptr)
-        self._proposal_tail = bind(
-            "fleet_proposal_tail", long_, ptr, double, long_, ptr, double, double, ptr,
-        )
+        self._device_step = bind("fleet_device_step", ptr)
         self._bias_relu = bind("bias_relu", long_, long_, long_, ptr, ptr, long_, ptr)
         self._pair_bias_relu = bind(
             "pair_bias_relu", long_, long_, long_, ptr, ptr, long_, long_, long_,
@@ -632,72 +722,20 @@ class _FusedAdam:
 
     # -- fleet kernels -------------------------------------------------------
 
-    def fleet_thermal_advance(
-        self,
-        temps: np.ndarray,
-        power: np.ndarray,
-        ambient: np.ndarray,
-        resistance: np.ndarray,
-        heat_capacity: np.ndarray,
-        coup_a: np.ndarray,
-        coup_b: np.ndarray,
-        coup_c: np.ndarray,
-        remaining: np.ndarray,
-        max_substep: float,
-        dt_scratch: np.ndarray,
-        deltas_scratch: np.ndarray,
-    ) -> None:
-        """Advance a ``(nodes, n)`` fleet thermal matrix in place.
+    def bind_device_step(self, plan: FleetDevicePlan) -> Callable[[], None]:
+        """A zero-argument callable running :c:func:`fleet_device_step` on
+        ``plan``.  Every buffer the plan addresses must stay alive and in
+        place while the callable is in use; the callable keeps the plan
+        itself alive."""
+        function = self._device_step
+        address = ctypes.addressof(plan)
 
-        ``remaining`` (seconds, length n) is consumed in place; ``dt_scratch``
-        (length n) and ``deltas_scratch`` (``(nodes, n)``) are caller-owned
-        work buffers.  All arrays must be C-contiguous float64 (coupling
-        endpoint indices int64).
-        """
-        _obs.kernel_call("fleet_thermal_advance")
-        nodes, n = temps.shape
-        self._fleet_thermal(
-            nodes, n, self._ptr(temps), self._ptr(power), self._ptr(ambient),
-            self._ptr(resistance), self._ptr(heat_capacity),
-            coup_a.size, self._ptr(coup_a), self._ptr(coup_b),
-            self._ptr(coup_c), self._ptr(remaining), max_substep,
-            self._ptr(dt_scratch), self._ptr(deltas_scratch),
-        )
+        def step() -> None:
+            _obs.kernel_call("fleet_device_step")
+            function(address)
 
-    def fleet_ar1_advance(
-        self,
-        current: np.ndarray,
-        mean: np.ndarray,
-        corr: np.ndarray,
-        innovations: np.ndarray,
-        minimum: np.ndarray,
-        maximum: np.ndarray,
-    ) -> None:
-        """One clipped AR(1) step over per-session streams, in place."""
-        _obs.kernel_call("fleet_ar1_advance")
-        self._fleet_ar1(
-            current.size, self._ptr(current), self._ptr(mean),
-            self._ptr(corr), self._ptr(innovations),
-            self._ptr(minimum), self._ptr(maximum),
-        )
-
-    def fleet_proposal_tail(
-        self,
-        scene_candidates: np.ndarray,
-        keep_ratio: float,
-        factor: np.ndarray | None,
-        min_proposals: float,
-        max_proposals: float,
-        out: np.ndarray,
-    ) -> None:
-        """rint/clip tail of the batched proposal draw into int64 ``out``."""
-        _obs.kernel_call("fleet_proposal_tail")
-        self._proposal_tail(
-            scene_candidates.size, self._ptr(scene_candidates), keep_ratio,
-            0 if factor is None else 1,
-            0 if factor is None else self._ptr(factor),
-            min_proposals, max_proposals, self._ptr(out),
-        )
+        step.plan = plan
+        return step
 
 
 def _reference_step(p, g, m, v, lr, beta1, beta2, eps, bc1, bc2):
@@ -786,80 +824,8 @@ def _self_test(kernel: _FusedAdam) -> bool:
     kernel.row_sumsq_raw(3, 1001, rows_x.ctypes.data, sums.ctypes.data)
     if not np.allclose(sums, np.einsum("ij,ij->i", rows_x, rows_x), rtol=1e-13, atol=0):
         return False
-    # Fleet thermal sub-stepping vs. the DeviceFleet.advance_thermal NumPy
-    # loop: mixed durations (zero, sub-step-sized, multi-step) so sessions
-    # finish at different iterations.
-    nodes, n = 3, 11
-    temps0 = rng.normal(45.0, 10.0, size=(nodes, n))
-    power = np.abs(rng.normal(4.0, 2.0, size=(nodes, n)))
-    ambient = rng.normal(25.0, 3.0, size=n)
-    resistance = np.abs(rng.normal(2.0, 0.5, size=nodes)) + 0.1
-    heat_capacity = np.abs(rng.normal(20.0, 5.0, size=nodes)) + 1.0
-    couplings = [(0, 1, 0.8), (1, 2, 0.35)]
-    max_substep = 0.05
-    remaining0 = np.concatenate(
-        [np.zeros(2), rng.uniform(0.0, 0.3, size=n - 2)]
-    )
-    t_ref = temps0.copy()
-    remaining = remaining0.copy()
-    while True:
-        active = remaining > 1e-12
-        if not active.any():
-            break
-        dt = np.where(active, np.minimum(max_substep, remaining), 0.0)
-        deltas = np.empty_like(t_ref)
-        for row in range(nodes):
-            to_ambient = (t_ref[row] - ambient) / resistance[row]
-            coupled = np.zeros(n)
-            for node_a, node_b, conductance in couplings:
-                if row == node_a:
-                    coupled = coupled + conductance * (t_ref[row] - t_ref[node_b])
-                elif row == node_b:
-                    coupled = coupled + conductance * (t_ref[row] - t_ref[node_a])
-            net_flow_w = power[row] - to_ambient - coupled
-            deltas[row] = net_flow_w / heat_capacity[row] * dt
-        t_ref += deltas
-        remaining = remaining - dt
-    t_c = temps0.copy()
-    kernel.fleet_thermal_advance(
-        t_c, power, ambient, resistance, heat_capacity,
-        np.array([a for a, _, _ in couplings], dtype=np.int64),
-        np.array([b for _, b, _ in couplings], dtype=np.int64),
-        np.array([c for _, _, c in couplings], dtype=float),
-        remaining0.copy(), max_substep, np.empty(n), np.empty((nodes, n)),
-    )
-    if not np.array_equal(t_ref.view(np.int64), t_c.view(np.int64)):
+    if not _device_step_self_test(kernel, rng):
         return False
-    # AR(1) advance vs. the FleetFrameStream.next_frames op sequence,
-    # including values that land outside [lo, hi] on both sides.
-    cur0 = rng.normal(50.0, 30.0, size=64)
-    mean = rng.normal(50.0, 10.0, size=64)
-    corr = rng.uniform(0.2, 0.99, size=64)
-    innov = rng.normal(0.0, 20.0, size=64)
-    lo = np.full(64, 10.0)
-    hi = np.full(64, 90.0)
-    ar_ref = np.clip(mean + corr * (cur0 - mean) + innov, lo, hi)
-    ar_c = cur0.copy()
-    kernel.fleet_ar1_advance(ar_c, mean, corr, innov, lo, hi)
-    if not np.array_equal(ar_ref.view(np.int64), ar_c.view(np.int64)):
-        return False
-    # Proposal tail vs. rint/clip/astype, with explicit half-way values so
-    # a round-half-away rint would be caught, with and without the noise
-    # factor.
-    scene = np.concatenate(
-        [np.array([0.5, 1.5, 2.5, 3.5, 250.0, 1e4]), rng.uniform(0, 400, 57)]
-    )
-    keep_ratio, min_p, max_p = 1.0, 1.0, 300.0
-    factor = np.exp(rng.normal(0.0, 0.2, size=scene.size))
-    for fac in (None, factor):
-        expected = scene * keep_ratio
-        if fac is not None:
-            expected = expected * fac
-        counts_ref = np.clip(np.rint(expected), min_p, max_p).astype(np.int64)
-        counts_c = np.empty(scene.size, dtype=np.int64)
-        kernel.fleet_proposal_tail(scene, keep_ratio, fac, min_p, max_p, counts_c)
-        if not np.array_equal(counts_ref, counts_c):
-            return False
     # Bias add + ReLU vs. `z += b; maximum(z, 0)`, separate-output and
     # aliased (act is z) forms.
     z0 = rng.normal(size=(17, 23))
@@ -985,6 +951,59 @@ def _self_test(kernel: _FusedAdam) -> bool:
     )
 
 
+def _device_step_self_test(kernel: _FusedAdam, rng: np.random.Generator) -> bool:
+    """``fleet_device_step`` vs. the NumPy ``DeviceFleet.execute``, bitwise.
+
+    Two fleets of one device start from the same random state — node
+    temperatures around the trip point, throttles half engaged, random
+    requested levels — and take the same steps (zero, sub-step and
+    multi-sub-step durations; utilisations outside [0, 1] so the clip
+    engages), one on the NumPy path and one on the kernel.  Every
+    telemetry array after each step, and the whole state at the end, must
+    agree bit for bit, which also proves C ``exp`` equals the per-session
+    ``math.exp`` of the NumPy leakage model on these inputs.
+    """
+    # Imported here: repro.hardware.fleet imports this module.
+    from repro.hardware.devices import jetson_orin_nano
+    from repro.hardware.fleet import DeviceFleet
+
+    n = 9
+    oracle = DeviceFleet(jetson_orin_nano(), n)
+    oracle._step = None
+    fused = DeviceFleet(jetson_orin_nano(), n)
+    fused._bind_kernel(kernel)
+    state = oracle.state_dict()
+    trip = oracle.cpu_throttle.trip_temperature_c
+    state["temperatures"] = rng.uniform(trip - 15.0, trip + 5.0, state["temperatures"].shape)
+    state["ambient_temperature_c"] = rng.uniform(0.0, 40.0, n)
+    for domain, tables in (("cpu", oracle.cpu), ("gpu", oracle.gpu)):
+        state[f"{domain}_throttled"] = rng.random(n) < 0.5
+        state[f"requested_{domain}_level"] = rng.integers(0, tables.num_levels, n)
+    for fleet in (oracle, fused):
+        fleet.load_state_dict(state)
+        fleet.request_levels(state["requested_cpu_level"], state["requested_gpu_level"])
+    for step in range(3):
+        duration = rng.uniform(0.0, 160.0 if step % 2 else 40.0, n)
+        duration[step] = 0.0
+        cpu_util = rng.uniform(-0.2, 1.2, n)
+        gpu_util = rng.uniform(-0.2, 1.2, n)
+        expected = vars(oracle.execute(duration, cpu_util, gpu_util))
+        got = vars(fused.execute(duration, cpu_util, gpu_util))
+        if not all(_bitwise_equal(expected[key], got[key]) for key in expected):
+            return False
+    expected, got = oracle.state_dict(), fused.state_dict()
+    return all(_bitwise_equal(expected[key], got[key]) for key in expected)
+
+
+def _bitwise_equal(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    if a.dtype.kind == "f":
+        return bool(np.array_equal(a.view(np.int64), b.view(np.int64)))
+    return bool(np.array_equal(a, b))
+
+
 def _cache_dir() -> Path:
     """Per-user, owner-only cache directory for the compiled library.
 
@@ -1085,7 +1104,6 @@ def fused_fleet() -> _FusedAdam | None:
     and share its resolution: one compile + bitwise self-test per process,
     one ``REPRO_FUSED=0`` kill switch for everything.  The separate entry
     point exists so fleet call sites (:mod:`repro.hardware.fleet`,
-    :mod:`repro.workload.fleet`, :mod:`repro.detection.fleet`,
     :mod:`repro.rl.slimmable`) read as requesting fleet kernels, not an
     optimizer.
     """

@@ -21,7 +21,7 @@ from repro.workload.dataset import (
     kitti,
     visdrone2019,
 )
-from repro.workload.fleet import FleetFrameBatch, FleetFrameStream
+from repro.workload.fleet import FleetFrameBatch, FleetFrameStream, SessionNormals
 from repro.workload.generator import DomainSwitchStream, Frame, FrameStream
 from repro.workload.scene import SceneComplexityProcess
 
@@ -33,6 +33,7 @@ __all__ = [
     "Frame",
     "FrameStream",
     "SceneComplexityProcess",
+    "SessionNormals",
     "available_datasets",
     "build_dataset",
     "kitti",

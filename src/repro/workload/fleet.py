@@ -8,6 +8,13 @@ consumes it), and the AR(1) update plus clipping run as array operations.
 Session ``i`` of a fleet stream seeded with ``rngs[i]`` therefore emits the
 bit-identical frame sequence of ``FrameStream(dataset, rngs[i])``.
 
+Per-session draws come through :class:`SessionNormals`, which takes
+:data:`NOISE_BLOCK_FRAMES` frames of normals from each generator in one
+call: ``rng.normal(0, std, size=K)`` yields exactly the values (and leaves
+exactly the generator state) of ``K`` scalar ``rng.normal(0, std)`` calls,
+so drawing ahead changes only the cost, not a single value.  The
+unconsumed draws travel with every snapshot.
+
 The stream may be *heterogeneous*: passing one
 :class:`~repro.workload.dataset.DatasetProfile` per session gives every
 session its own AR(1) parameters (mean, innovation std, correlation,
@@ -28,8 +35,75 @@ from typing import Sequence, Union
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.rl.fused import fused_fleet
 from repro.workload.dataset import DatasetProfile
+
+#: Frames of normal draws :class:`SessionNormals` takes from each session's
+#: generator at a time.
+NOISE_BLOCK_FRAMES = 32
+
+
+class SessionNormals:
+    """Per-session normal draws, one per session per frame, drawn in blocks.
+
+    Owns one generator per session and hands out ``N(0, std[i])`` draws
+    frame by frame, bit-identical to calling ``rngs[i].normal(0.0,
+    std[i])`` once per frame, but with one generator call per session every
+    :data:`NOISE_BLOCK_FRAMES` frames.  Nothing is drawn before the first
+    :meth:`next`, so a consumer that never asks leaves its generators
+    untouched.  Drawing ahead is only invisible if nothing else draws from
+    these generators, so every session needs a generator object of its
+    own.
+
+    Args:
+        rngs: One distinct generator per session.
+        std: Standard deviation — a scalar shared by every session, or one
+            per session.
+    """
+
+    def __init__(self, rngs: Sequence[np.random.Generator], std):
+        self.rngs = tuple(rngs)
+        n = len(self.rngs)
+        if len({id(rng) for rng in self.rngs}) != n:
+            raise WorkloadError("every session needs its own generator object")
+        self._std = np.broadcast_to(np.asarray(std, dtype=float), (n,)).tolist()
+        self._block = np.empty((0, n))
+        self._cursor = 0
+
+    def next(self) -> np.ndarray:
+        """This frame's draws, one per session (a read-only view)."""
+        if self._cursor == len(self._block):
+            block = np.empty((NOISE_BLOCK_FRAMES, len(self.rngs)))
+            for i, (rng, std) in enumerate(zip(self.rngs, self._std)):
+                block[:, i] = rng.normal(0.0, std, size=NOISE_BLOCK_FRAMES)
+            block.flags.writeable = False
+            self._block = block
+            self._cursor = 0
+        row = self._block[self._cursor]
+        self._cursor += 1
+        return row
+
+    def state_dict(self) -> dict:
+        """Generator states plus the drawn but unconsumed ``(frames, N)``
+        block, so a restored helper hands out the same next draws."""
+        return {
+            "rngs": [rng.bit_generator.state for rng in self.rngs],
+            "pending": self._block[self._cursor :].copy(),
+        }
+
+    def load_state_dict(self, payload: dict) -> None:
+        """Restore a :meth:`state_dict` snapshot.  A payload without
+        ``pending`` (generator states only, taken with nothing drawn
+        ahead) restores as an empty block, which is exact."""
+        for rng, state in zip(self.rngs, payload["rngs"]):
+            rng.bit_generator.state = state
+        pending = payload.get("pending")
+        self._block = (
+            np.empty((0, len(self.rngs)))
+            if pending is None
+            else np.array(pending, dtype=float).reshape(-1, len(self.rngs))
+        )
+        self._block.flags.writeable = False
+        self._cursor = 0
 
 
 @dataclass(frozen=True)
@@ -61,7 +135,7 @@ class FleetFrameStream:
         dataset: Either one dataset profile shared by every session, or a
             sequence of one profile per session (per-session AR(1)
             parameters, image scales and dataset names).
-        rngs: One generator per session; defines the fleet size.
+        rngs: One distinct generator per session; defines the fleet size.
         latency_constraint_ms: Optional constraint override — a single float
             shared by every session (mirroring the scalar stream's
             per-frame override field), or a sequence with one entry per
@@ -77,7 +151,6 @@ class FleetFrameStream:
         if not rngs:
             raise WorkloadError("need at least one generator (one per session)")
         self.num_sessions = len(rngs)
-        self._rngs = list(rngs)
         if isinstance(dataset, DatasetProfile):
             profiles = [dataset] * self.num_sessions
         else:
@@ -112,10 +185,11 @@ class FleetFrameStream:
         initial = np.array(
             [
                 rng.normal(process.mean, process.stationary_std)
-                for rng, process in zip(self._rngs, processes)
+                for rng, process in zip(rngs, processes)
             ]
         )
         self._current = np.clip(initial, self._minimum, self._maximum)
+        self._innovations = SessionNormals(rngs, self._innovation_std)
 
     def _normalise_constraint(
         self, latency_constraint_ms: Union[float, Sequence[float | None], None]
@@ -135,6 +209,11 @@ class FleetFrameStream:
         )
 
     @property
+    def rngs(self) -> tuple:
+        """The per-session generators the stream draws from."""
+        return self._innovations.rngs
+
+    @property
     def is_heterogeneous(self) -> bool:
         """Whether the sessions draw from more than one dataset profile."""
         return len(set(self._names)) > 1
@@ -149,14 +228,17 @@ class FleetFrameStream:
     def state_dict(self) -> dict:
         """Snapshot of the stream's mutable cursor state.
 
-        Captures each session's generator state, the current AR(1) scene
-        values and the frame index — everything :meth:`next_frames` reads
-        or advances — so a restored stream emits the bit-identical frame
-        sequence an uninterrupted one would.
+        Captures each session's generator state, the innovations drawn
+        but not yet used, the current AR(1) scene values and the frame
+        index — everything :meth:`next_frames` reads or advances — so a
+        restored stream emits the bit-identical frame sequence an
+        uninterrupted one would.
         """
+        innovations = self._innovations.state_dict()
         return {
             "num_sessions": int(self.num_sessions),
-            "rngs": [rng.bit_generator.state for rng in self._rngs],
+            "rngs": innovations["rngs"],
+            "pending_innovations": innovations["pending"],
             "current": self._current.copy(),
             "index": int(self._index),
         }
@@ -168,32 +250,20 @@ class FleetFrameStream:
                 f"snapshot was captured from a {payload['num_sessions']}-session "
                 f"stream but this stream drives {self.num_sessions} sessions"
             )
-        for rng, state in zip(self._rngs, payload["rngs"]):
-            rng.bit_generator.state = state
+        self._innovations.load_state_dict(
+            {"rngs": payload["rngs"], "pending": payload.get("pending_innovations")}
+        )
         self._current = np.array(payload["current"], dtype=float)
         self._index = int(payload["index"])
 
     def next_frames(self) -> FleetFrameBatch:
         """Generate the next frame for every session in one array step."""
-        innovations = np.array(
-            [
-                rng.normal(0.0, std)
-                for rng, std in zip(self._rngs, self._innovation_std.tolist())
-            ]
+        value = (
+            self._mean
+            + self._correlation * (self._current - self._mean)
+            + self._innovations.next()
         )
-        kernel = fused_fleet()
-        if kernel is not None:
-            kernel.fleet_ar1_advance(
-                self._current, self._mean, self._correlation,
-                innovations, self._minimum, self._maximum,
-            )
-        else:
-            value = (
-                self._mean
-                + self._correlation * (self._current - self._mean)
-                + innovations
-            )
-            self._current = np.clip(value, self._minimum, self._maximum)
+        self._current = np.clip(value, self._minimum, self._maximum)
         batch = FleetFrameBatch(
             index=self._index,
             datasets=self._names,

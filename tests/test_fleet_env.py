@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.env.ambient import DiurnalAmbient
 from repro.errors import DeviceError, ExperimentError
 from repro.analysis.experiments import ExperimentSetting
 from repro.core.fleet import FleetLotusAgent
@@ -15,6 +16,7 @@ from repro.env.fleet import (
     FleetDecision,
     FleetTrace,
     PerSessionPolicies,
+    SessionAmbient,
     run_fleet_episode,
 )
 from repro.env.trace import FrameRecord
@@ -222,3 +224,22 @@ def test_device_fleet_rejects_bad_inputs():
         fleet.execute(np.array([-1.0, 1.0]), 0.5, 0.5)
     with pytest.raises(DeviceError):
         fleet.request_levels(np.array([0, 99]), np.array([0, 0]))
+
+
+def test_session_ambient_evaluates_each_distinct_profile_once():
+    class Counting(DiurnalAmbient):
+        calls = 0
+
+        def temperature_at(self, frame_index: int) -> float:
+            Counting.calls += 1
+            return super().temperature_at(frame_index)
+
+    shared = Counting(mean_c=20.0, amplitude_c=6.0, period_frames=7)
+    other = Counting(mean_c=30.0, amplitude_c=2.0, period_frames=5)
+    profiles = [shared, other, shared, shared]
+    ambient = SessionAmbient(profiles)
+    for frame in range(9):
+        Counting.calls = 0
+        values = ambient.temperature_at(frame)
+        assert Counting.calls == 2
+        assert values.tolist() == [p.temperature_at(frame) for p in profiles]

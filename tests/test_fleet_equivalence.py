@@ -21,7 +21,12 @@ from repro.detection.fleet import (
     stage1_cost_arrays,
     stage2_cost_arrays,
 )
-from repro.detection.latency import ExecutionModel, compute_profile_for
+from repro.detection.latency import (
+    DeviceComputeProfile,
+    ExecutionModel,
+    compute_profile_for,
+)
+from repro.detection.stages import CycleCost
 from repro.detection.registry import build_detector
 from repro.env.ambient import DiurnalAmbient, LinearRampAmbient
 from repro.governors.fleet import build_batched_default_governor
@@ -36,7 +41,7 @@ from repro.runtime.fleet import (
 )
 from repro.scenarios import FleetMember, FleetScenario, ScenarioSpec, build_scenario
 from repro.workload.dataset import build_dataset
-from repro.workload.fleet import FleetFrameStream
+from repro.workload.fleet import FleetFrameStream, SessionNormals
 from repro.workload.generator import FrameStream
 
 FLEET = 5
@@ -305,17 +310,46 @@ def test_batched_costs_and_execution_match_scalar(detector_name):
         assert seg2.latency_ms[i] == ref2.latency_ms
 
 
+def test_batched_execution_of_zero_work_segments_matches_scalar():
+    """With no launch overhead a zero-cost segment is an idle instant, in a
+    batch of only such segments and mixed with real work alike."""
+    profile = DeviceComputeProfile(launch_overhead_ms=0.0)
+    scalar_exec = ExecutionModel(profile)
+    batched_exec = BatchedExecutionModel(profile)
+    cpu_khz = np.array([1.2e6, 8e5, 1.5e6, 6e5])
+    gpu_khz = np.array([6e5, 3e5, 4e5, 5e5])
+    for cpu_kc, gpu_kc in (
+        (np.array([0.0, 0.0, 5e3, 0.0]), np.array([0.0, 2e3, 0.0, 0.0])),
+        (np.zeros(4), np.zeros(4)),
+    ):
+        segment = batched_exec.execute(cpu_kc, gpu_kc, cpu_khz, gpu_khz)
+        for i in range(4):
+            ref = scalar_exec.execute(
+                CycleCost(float(cpu_kc[i]), float(gpu_kc[i])),
+                float(cpu_khz[i]),
+                float(gpu_khz[i]),
+            )
+            assert segment.latency_ms[i] == ref.latency_ms
+            assert segment.cpu_busy_ms[i] == ref.cpu_busy_ms
+            assert segment.gpu_busy_ms[i] == ref.gpu_busy_ms
+            assert segment.cpu_utilisation[i] == ref.cpu_utilisation
+            assert segment.gpu_utilisation[i] == ref.gpu_utilisation
+
+
 def test_propose_batch_matches_scalar_sampling():
     detector = build_detector("faster_rcnn")
     candidates = np.random.default_rng(17).uniform(0.0, 500.0, size=12)
-    batched_rngs = [np.random.default_rng(100 + i) for i in range(12)]
+    noise = SessionNormals(
+        [np.random.default_rng(100 + i) for i in range(12)],
+        detector.proposal_model.noise_std,
+    )
     scalar_rngs = [np.random.default_rng(100 + i) for i in range(12)]
     for _ in range(5):
-        batch = propose_batch(detector, candidates, batched_rngs)
+        batch = propose_batch(detector, candidates, noise)
         for i in range(12):
             assert batch[i] == detector.propose(float(candidates[i]), scalar_rngs[i])
     one_stage = build_detector("yolo_v5")
-    assert (propose_batch(one_stage, candidates, batched_rngs) == 0).all()
+    assert (propose_batch(one_stage, candidates, noise) == 0).all()
 
 
 def test_fleet_frame_stream_matches_scalar_streams():
